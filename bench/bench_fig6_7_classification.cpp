@@ -8,6 +8,7 @@
 
 #include "baseline/atl07.hpp"
 #include "common.hpp"
+#include "pipeline/classifier.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -66,8 +67,8 @@ int main() {
     fpb.apply(segments);
     const auto baseline_h = resample::rolling_baseline(segments);
     const auto features = resample::to_features(segments, baseline_h);
-    const auto atl03_cls = core::classify_segments(trained.model, trained.scaler, features,
-                                                   data.config.sequence_window);
+    const auto atl03_cls = pipeline::classify_windows(trained.model, trained.scaler, features,
+                                                      data.config.sequence_window);
 
     const auto atl07 = baseline::build_atl07(pre);
 

@@ -7,6 +7,7 @@
 #include "baseline/atl07.hpp"
 #include "baseline/atl10.hpp"
 #include "common.hpp"
+#include "pipeline/classifier.hpp"
 #include "seasurface/detector.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -44,8 +45,8 @@ int main() {
     auto segments = resample::resample(pre, data.config.segmenter);
     fpb.apply(segments);
     const auto features = resample::to_features(segments, resample::rolling_baseline(segments));
-    const auto cls = core::classify_segments(trained.model, trained.scaler, features,
-                                             data.config.sequence_window);
+    const auto cls = pipeline::classify_windows(trained.model, trained.scaler, features,
+                                                data.config.sequence_window);
 
     std::printf("\n%s: local sea surface, IS2 track %s_gt2r\n", trk.fig,
                 data.pairs[trk.pair].granule_id.c_str() + 6);

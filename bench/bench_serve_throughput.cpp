@@ -162,15 +162,16 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  auto stage = [&](const char* name, const serve::StageLatency& s, bool last = false) {
+  using Latency = obs::HistogramMetric::Snapshot;
+  auto stage = [&](const char* name, const Latency& s, bool last = false) {
     out << "      \"" << name << "\": {\"count\": " << s.stats.count()
         << ", \"mean_ms\": " << s.stats.mean() << ", \"max_ms\": " << s.stats.max() << "}"
         << (last ? "\n" : ",\n");
   };
   // The queue-wait vs service-time split of the highest worker-count run
   // (scheduled jobs only) — the two columns tools/bench_trend.py trends.
-  const serve::StageLatency& qw = rows.back().metrics.queue_wait;
-  const serve::StageLatency& st = rows.back().metrics.service_time;
+  const Latency& qw = rows.back().metrics.queue_wait;
+  const Latency& st = rows.back().metrics.service_time;
   out << "{\n  \"scenario\": \"tiny\",\n"
       << "  \"queue_wait_p99_ms\": " << qw.p99_ms()
       << ", \"queue_wait_mean_ms\": " << qw.stats.mean() << ",\n"
@@ -186,11 +187,14 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
         << ", \"cold_p50_ms\": " << r.cold_p50 << ", \"cold_p99_ms\": " << r.cold_p99
         << ", \"warm_qps\": " << r.warm_qps << ", \"warm_p50_ms\": " << r.warm_p50
         << ", \"warm_p99_ms\": " << r.warm_p99 << ",\n     \"stages\": {\n";
+    const auto builder_stage = [&](pipeline::StageId id) -> const Latency& {
+      return r.metrics.builder[static_cast<std::size_t>(id)];
+    };
     stage("load", r.metrics.load);
-    stage("features", r.metrics.features);
-    stage("inference", r.metrics.inference);
-    stage("seasurface", r.metrics.seasurface);
-    stage("freeboard", r.metrics.freeboard);
+    stage("features", builder_stage(pipeline::StageId::features));
+    stage("inference", builder_stage(pipeline::StageId::classify));
+    stage("seasurface", builder_stage(pipeline::StageId::seasurface));
+    stage("freeboard", builder_stage(pipeline::StageId::freeboard));
     stage("total", r.metrics.total, /*last=*/true);
     out << "    }}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -180,10 +180,8 @@ int main() {
   std::printf("inference         %llu windows in %llu batches\n",
               static_cast<unsigned long long>(m.inference_windows),
               static_cast<unsigned long long>(m.inference_batches));
-  std::printf("stage means [ms]  load %.1f | features %.1f | inference %.1f | "
-              "seasurface %.1f | freeboard %.1f | total %.1f\n",
-              m.load.stats.mean(), m.features.stats.mean(), m.inference.stats.mean(),
-              m.seasurface.stats.mean(), m.freeboard.stats.mean(), m.total.stats.mean());
+  std::printf("serve means [ms]  load %.1f | disk_load %.2f | total %.1f\n",
+              m.load.stats.mean(), m.disk_load.stats.mean(), m.total.stats.mean());
   std::printf("builder stages    ");
   for (std::size_t s = 0; s < pipeline::kNumStages; ++s)
     std::printf("%s %.2f ms%s", pipeline::stage_name(static_cast<pipeline::StageId>(s)),

@@ -13,6 +13,7 @@
 #include "core/campaign.hpp"
 #include "core/pipeline.hpp"
 #include "freeboard/freeboard.hpp"
+#include "pipeline/classifier.hpp"
 #include "seasurface/detector.hpp"
 #include "util/table.hpp"
 
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
       if (labeled[k].beams[b].beam == atl03::BeamId::Gt2r) beam_idx = b;
     const auto& lb = labeled[k].labeled[beam_idx];
     const auto classes =
-        core::classify_segments(model, data.scaler, lb.features, config.sequence_window);
+        pipeline::classify_windows(model, data.scaler, lb.features, config.sequence_window);
     const auto profile = seasurface::detect_sea_surface(
         lb.segments, classes, seasurface::Method::NasaEquation, config.seasurface);
     const auto product =

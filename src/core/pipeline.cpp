@@ -86,14 +86,6 @@ TrainingData assemble_training_data(const std::vector<LabeledPair>& pairs,
   return out;
 }
 
-std::vector<SurfaceClass> classify_segments(nn::Sequential& model,
-                                            const resample::FeatureScaler& scaler,
-                                            const std::vector<resample::FeatureRow>& features,
-                                            std::size_t window) {
-  // Deprecated wrapper: the algorithm moved to pipeline::classify_windows.
-  return pipeline::classify_windows(model, scaler, features, window);
-}
-
 namespace {
 
 /// Shared per-partition heavy path through the stage graph:

@@ -6,8 +6,8 @@
 // Since the `is2::pipeline` stage-graph redesign, everything here is a thin
 // composition over `pipeline::ProductBuilder` — the per-stage wiring lives
 // in exactly one place. `label_pair` and the jobs remain the stable batch
-// entry points; `classify_segments` is a DEPRECATED thin wrapper over
-// `pipeline::classify_windows` (kept for one release).
+// entry points; per-beam classification is `pipeline::classify_windows` or a
+// `pipeline::ClassifierBackend`.
 #pragma once
 
 #include <cstdint>
@@ -51,15 +51,6 @@ struct TrainingData {
 TrainingData assemble_training_data(const std::vector<LabeledPair>& pairs,
                                     const PipelineConfig& config, double train_fraction = 0.8,
                                     std::uint64_t seed = 4242);
-
-/// Classify every segment of a beam with a trained model: sliding windows
-/// over standardized features; edge segments inherit the nearest interior
-/// prediction. DEPRECATED thin wrapper over `pipeline::classify_windows`
-/// (identical algorithm; new code should use a `pipeline::ClassifierBackend`
-/// or call classify_windows directly).
-std::vector<atl03::SurfaceClass> classify_segments(
-    nn::Sequential& model, const resample::FeatureScaler& scaler,
-    const std::vector<resample::FeatureRow>& features, std::size_t window);
 
 // ---------------------------------------------------------------------------
 // Staged map-reduce jobs (Tables II and V). Partitions are shard files; LOAD

@@ -5,7 +5,7 @@
 // (src, dst) channels. The in-process implementation below backs the
 // thread-per-rank harness; a socket transport implementing the same four
 // methods slots in underneath `Communicator` unchanged when the fleet goes
-// cross-process (the serve cluster's NodeHandle is the same pattern).
+// cross-process.
 //
 // Semantics the collectives rely on:
 //  * send() is buffered: it enqueues and returns without waiting for the

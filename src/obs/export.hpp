@@ -9,9 +9,8 @@
 //    `_bucket{le="..."}` series (+Inf included) with `_sum`/`_count`.
 //    Bucket bounds are the log-scale bin edges converted back to
 //    milliseconds. Output passes tools/check_prometheus.py (CI enforces).
-//  * to_json carries the same points as nested objects — a superset of the
-//    legacy ServiceMetrics fields, since every serve counter/latency now
-//    lives in the registry.
+//  * to_json carries the same points as nested objects — a superset of
+//    ServiceMetrics, which is read from the same registry.
 //  * to_perfetto renders complete spans as "ph":"X" duration events and
 //    instants as "ph":"i", ts/dur in microseconds, one fake process with
 //    one row per obs thread ordinal (named via thread_labels()). Open

@@ -1,10 +1,10 @@
-#include "pipeline/stage.hpp"
+#include "obs/instruments.hpp"
 
 #include <cstdio>
 
-namespace is2::pipeline {
+namespace is2::obs {
 
-double StageLatency::percentile_ms(double p) const {
+double HistogramMetric::Snapshot::percentile_ms(double p) const {
   if (histogram.total() == 0) return 0.0;
   const double log_ms = util::histogram_quantile(histogram, p / 100.0);
   // The histogram saw log10 of clamped values, so invert both transforms;
@@ -12,7 +12,7 @@ double StageLatency::percentile_ms(double p) const {
   return std::clamp(std::pow(10.0, log_ms), stats.min(), stats.max());
 }
 
-std::string StageLatency::render(std::size_t max_width) const {
+std::string HistogramMetric::Snapshot::render(std::size_t max_width) const {
   const std::size_t n = histogram.bins();
   std::size_t first = n, last = 0;
   for (std::size_t b = 0; b < n; ++b) {
@@ -26,7 +26,9 @@ std::string StageLatency::render(std::size_t max_width) const {
   std::string out;
   char buf[64];
   for (std::size_t b = first; b <= last; ++b) {
-    std::snprintf(buf, sizeof buf, "%9.3g ms | ", bin_lo_ms(b));
+    const double lo_ms =
+        std::pow(10.0, histogram.lo() + static_cast<double>(b) * histogram.bin_width());
+    std::snprintf(buf, sizeof buf, "%9.3g ms | ", lo_ms);
     out += buf;
     const auto w = static_cast<std::size_t>(static_cast<double>(histogram.count(b)) /
                                             static_cast<double>(peak) *
@@ -38,4 +40,4 @@ std::string StageLatency::render(std::size_t max_width) const {
   return out;
 }
 
-}  // namespace is2::pipeline
+}  // namespace is2::obs

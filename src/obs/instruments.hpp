@@ -5,24 +5,18 @@
 //
 // Threading contract: every instrument is safe for concurrent use from any
 // thread. Counter/Gauge updates are single relaxed atomics (lock-free,
-// wait-free). HistogramMetric::observe takes a per-instrument mutex — the
-// same granularity the pre-obs serve metrics used (one mutex around one
-// StageLatency update), never a global lock — because util::RunningStats /
-// util::Histogram are plain unsynchronized accumulators and the snapshot
-// must be internally consistent (stats.count() == histogram.total()).
-//
-// HistogramMetric deliberately replicates `pipeline::StageLatency`'s binning
-// (log10(ms) clamped to [10 us, 100 s], 10 bins per decade) with the same
-// util types in the same add() order, so a snapshot assigned into a
-// StageLatency is bit-identical to one maintained by StageLatency::add —
-// that is what lets ServiceMetrics become a registry-read view without
-// changing a single test expectation.
+// wait-free). HistogramMetric::observe takes a per-instrument mutex — never
+// a global lock — because util::RunningStats / util::Histogram are plain
+// unsynchronized accumulators and the snapshot must be internally
+// consistent (stats.count() == histogram.total()). A Snapshot is a plain
+// value (callers synchronize).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "util/mutex.hpp"
 #include "util/stats.hpp"
@@ -51,20 +45,31 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Latency distribution instrument: Welford stats + log-scale histogram over
-/// milliseconds, binned exactly like `pipeline::StageLatency` (see the file
-/// comment). observe() is one uncontended mutex + two accumulator adds.
+/// Latency distribution instrument, in milliseconds: Welford stats plus a
+/// histogram of log10(ms) over [10 us, 100 s], 10 bins per decade, so a
+/// sub-millisecond cache probe and a near-second cold build are both
+/// representable without saturating an edge bin (values outside clamp to
+/// the edge bins). observe() is one uncontended mutex + two accumulator adds.
 class HistogramMetric {
  public:
-  // Mirrors StageLatency::kMinMs / kMaxMs / kBinsPerDecade. Asserted equal
-  // in test_obs so the two can never drift apart silently.
-  static constexpr double kMinMs = 1e-2;
-  static constexpr double kMaxMs = 1e5;
+  static constexpr double kMinMs = 1e-2;  ///< 10 us: below this clamps low
+  static constexpr double kMaxMs = 1e5;   ///< 100 s: above this clamps high
   static constexpr std::size_t kBinsPerDecade = 10;
 
   struct Snapshot {
     util::RunningStats stats;
-    util::Histogram histogram{-2.0, 5.0, 7 * kBinsPerDecade};
+    util::Histogram histogram{-2.0, 5.0, 7 * kBinsPerDecade};  ///< bins log10(ms)
+
+    /// Percentile estimate from the log-scale histogram, back in
+    /// milliseconds (p in [0,100]; 0 with no samples). Bin resolution bounds
+    /// the error: 10 bins per decade means the estimate sits within a factor
+    /// of 10^0.1 (~26%) of the exact order statistic.
+    double percentile_ms(double p) const;
+    double p50_ms() const { return percentile_ms(50.0); }
+    double p99_ms() const { return percentile_ms(99.0); }
+    /// Render the distribution with millisecond bin labels (log axis),
+    /// skipping empty leading/trailing bins.
+    std::string render(std::size_t max_width = 60) const;
   };
 
   void observe(double ms) {

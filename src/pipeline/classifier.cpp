@@ -42,7 +42,7 @@ std::vector<SurfaceClass> centers_with_edge_fill(const std::uint8_t* pred, std::
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// classify_windows (the former core::classify_segments body)
+// classify_windows
 // ---------------------------------------------------------------------------
 
 std::vector<SurfaceClass> classify_windows(nn::Sequential& model,

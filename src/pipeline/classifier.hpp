@@ -49,9 +49,8 @@ class ClassifierBackend {
 };
 
 /// Sliding-window classification of a feature sequence with one model:
-/// standardize, window, batch-predict, center-assign, edge-fill. The exact
-/// algorithm `core::classify_segments` has always run (that free function is
-/// now a thin wrapper over this).
+/// standardize, window, batch-predict, center-assign, edge-fill. NnBackend
+/// runs the same algorithm over a replica pool (bit-identical predictions).
 std::vector<atl03::SurfaceClass> classify_windows(nn::Sequential& model,
                                                   const resample::FeatureScaler& scaler,
                                                   const std::vector<resample::FeatureRow>& features,

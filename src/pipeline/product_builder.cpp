@@ -225,8 +225,6 @@ void ProductBuilder::run_until(Artifacts& art, StageId until, StageTrace* trace)
 void ProductBuilder::build(Artifacts& art, ProductKind kind, ClassifierBackend* backend,
                            seasurface::Method method, StageTrace* trace) const {
   const StageId until = final_stage(kind);
-  StageTrace local;
-  StageTrace& tr = trace ? *trace : local;
   util::Timer timer;
   for (std::size_t i = 0; i <= static_cast<std::size_t>(until); ++i) {
     const auto id = static_cast<StageId>(i);
@@ -237,9 +235,8 @@ void ProductBuilder::build(Artifacts& art, ProductKind kind, ClassifierBackend* 
     obs::SpanScope span(stage_name(id));
     timer.reset();
     run_stage(art, id, backend, method);
-    tr.mark(id, timer.millis());
+    if (trace) trace->mark(id, timer.millis());
   }
-  metrics_.record(tr);
 }
 
 }  // namespace is2::pipeline

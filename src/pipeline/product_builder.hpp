@@ -21,16 +21,16 @@
 //  * The classify stage is pluggable (`ClassifierBackend`): the nn replica
 //    path and the ATL07-style decision tree drop into the same graph, and
 //    the backend's identity participates in `product_fingerprint`.
-//  * Every stage is latency-instrumented (StageTrace per build,
-//    BuilderMetrics aggregate) so batch jobs and benches get the same
-//    breakdown the serving metrics always had.
+//  * Every stage is timed into the caller's StageTrace and wrapped in an
+//    obs span; callers that want distributions record the trace (serve
+//    does, into its registry).
 //
-// Ownership / threading contract: a ProductBuilder is immutable after
-// construction apart from its internally locked BuilderMetrics, so one
-// instance may run builds from many threads concurrently (each build owns
-// its Artifacts; the backend manages its own concurrency). Construction
-// validates the PipelineConfig (`PipelineConfig::validate()`) so bad
-// configs fail at the API boundary instead of deep inside a stage.
+// Ownership / threading contract: a ProductBuilder holds no mutable state
+// after construction, so one instance may run builds from many threads
+// concurrently (each build owns its Artifacts and StageTrace; the backend
+// manages its own concurrency). Construction validates the PipelineConfig
+// (`PipelineConfig::validate()`) so bad configs fail at the API boundary
+// instead of deep inside a stage.
 #pragma once
 
 #include <cstdint>
@@ -105,9 +105,7 @@ struct Artifacts {
 StageId final_stage(ProductKind kind);
 
 /// Fingerprint of every PipelineConfig input that changes built bytes, plus
-/// the sea-surface method — i.e. the full-depth (freeboard) prefix. This is
-/// the hash that used to live in `serve::config_fingerprint`; serve now
-/// delegates here.
+/// the sea-surface method — i.e. the full-depth (freeboard) prefix.
 std::uint64_t config_fingerprint(const core::PipelineConfig& config, seasurface::Method method);
 
 /// Stage-prefix-scoped fingerprint: hashes only the config inputs the
@@ -142,13 +140,12 @@ class ProductBuilder {
   /// Run every not-yet-done stage up to the depth `kind` requires.
   /// `backend` may be null only when the classify stage is already done
   /// (resumed artifacts); `method` selects the sea-surface estimator.
-  /// Records the build into metrics() and into `trace` when given.
+  /// Stage wall times are recorded into `trace` when given.
   void build(Artifacts& art, ProductKind kind, ClassifierBackend* backend,
              seasurface::Method method, StageTrace* trace = nullptr) const;
 
   const core::PipelineConfig& config() const { return config_; }
   const geo::GeoCorrections& corrections() const { return corrections_; }
-  BuilderMetrics& metrics() const { return metrics_; }
 
  private:
   void run_stage(Artifacts& art, StageId id, ClassifierBackend* backend,
@@ -157,7 +154,6 @@ class ProductBuilder {
   core::PipelineConfig config_;
   geo::GeoCorrections corrections_;
   resample::FirstPhotonBiasCorrector fpb_;
-  mutable BuilderMetrics metrics_;
 };
 
 }  // namespace is2::pipeline

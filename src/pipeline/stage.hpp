@@ -1,28 +1,18 @@
-// Stage identities and per-stage latency instrumentation for the
-// `is2::pipeline` stage graph.
+// Stage identities and the per-build stage trace of the `is2::pipeline`
+// stage graph.
 //
 // The seven paper stages (Fig. 1) are first-class values here so every
 // consumer — the batch jobs, `serve::GranuleService`, the benches — shares
-// one latency vocabulary instead of each keeping its own stopwatch code.
-// `StageLatency` (RunningStats + log-scale histogram) used to live in
-// `serve/service.hpp`; it moved down into the pipeline layer with the
-// builder so batch builds get the same distribution machinery for free
-// (serve keeps a `using` alias for source compatibility).
+// one stage vocabulary. A build reports its per-stage wall times in a
+// `StageTrace`; aggregating traces into latency distributions is the
+// caller's business (serve records them into `obs::HistogramMetric`s).
 //
-// Threading contract: `StageLatency`/`StageTrace` are plain values (callers
-// synchronize); `BuilderMetrics` is internally locked and safe to share
-// across concurrent builds.
+// Threading contract: `StageTrace` is a plain value (callers synchronize).
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstddef>
-#include <string>
-
-#include "util/mutex.hpp"
-#include "util/stats.hpp"
-#include "util/thread_annotations.hpp"
+#include <cstdint>
 
 namespace is2::pipeline {
 
@@ -53,39 +43,6 @@ inline const char* stage_name(StageId id) {
   return "?";
 }
 
-/// Latency distribution of one pipeline stage, in milliseconds. The
-/// histogram bins log10(ms) over [10 us, 100 s] — 10 bins per decade — so a
-/// sub-millisecond cache probe and a near-second cold build are both
-/// representable without saturating an edge bin.
-struct StageLatency {
-  static constexpr double kMinMs = 1e-2;  ///< 10 us: below this clamps low
-  static constexpr double kMaxMs = 1e5;   ///< 100 s: above this clamps high
-  static constexpr std::size_t kBinsPerDecade = 10;
-
-  util::RunningStats stats;
-  util::Histogram histogram{-2.0, 5.0, 7 * kBinsPerDecade};  ///< bins log10(ms)
-
-  void add(double ms) {
-    stats.add(ms);
-    histogram.add(std::log10(std::clamp(ms, kMinMs, kMaxMs)));
-  }
-  /// Lower edge of a histogram bin, back in milliseconds.
-  double bin_lo_ms(std::size_t bin) const {
-    return std::pow(10.0, histogram.lo() + static_cast<double>(bin) * histogram.bin_width());
-  }
-  /// Percentile estimate from the log-scale histogram, back in milliseconds
-  /// (p in [0,100]; 0 with no samples). Bin resolution bounds the error: 10
-  /// bins per decade means the estimate sits within a factor of 10^0.1
-  /// (~26%) of the exact order statistic — benches and exporters use these
-  /// instead of re-deriving quantiles from raw sample arrays.
-  double percentile_ms(double p) const;
-  double p50_ms() const { return percentile_ms(50.0); }
-  double p99_ms() const { return percentile_ms(99.0); }
-  /// Render the latency distribution with millisecond bin labels (log axis),
-  /// skipping empty leading/trailing decades.
-  std::string render(std::size_t max_width = 60) const;
-};
-
 /// Wall time of each stage that ran during one build (ms; `ran` marks which
 /// entries are meaningful — resumed builds leave their skipped prefix
 /// untouched).
@@ -100,52 +57,6 @@ struct StageTrace {
     ms[static_cast<std::size_t>(id)] = stage_ms;
     ran[static_cast<std::size_t>(id)] = true;
   }
-  /// Sum over the stages that ran (a resumed build's total is its suffix).
-  double total_ms() const {
-    double t = 0.0;
-    for (std::size_t i = 0; i < kNumStages; ++i)
-      if (ran[i]) t += ms[i];
-    return t;
-  }
-};
-
-/// Per-stage latency distributions, aggregated across builds.
-using StageSnapshot = std::array<StageLatency, kNumStages>;
-
-/// Thread-safe aggregation of StageTraces: one StageLatency per stage plus a
-/// whole-build distribution over the stages that actually ran. Shared by
-/// every caller of one ProductBuilder (serve workers, mapred partitions).
-class BuilderMetrics {
- public:
-  void record(const StageTrace& trace) {
-    util::MutexLock lock(mutex_);
-    for (std::size_t i = 0; i < kNumStages; ++i)
-      if (trace.ran[i]) stages_[i].add(trace.ms[i]);
-    build_.add(trace.total_ms());
-    ++builds_;
-  }
-
-  StageSnapshot stages() const {
-    util::MutexLock lock(mutex_);
-    return stages_;
-  }
-
-  StageLatency build() const {
-    util::MutexLock lock(mutex_);
-    return build_;
-  }
-
-  std::uint64_t builds() const {
-    util::MutexLock lock(mutex_);
-    return builds_;
-  }
-
- private:
-  mutable util::Mutex mutex_;
-  StageSnapshot stages_ GUARDED_BY(mutex_);
-  /// total_ms per build (full or resumed suffix)
-  StageLatency build_ GUARDED_BY(mutex_);
-  std::uint64_t builds_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace is2::pipeline

@@ -1,9 +1,9 @@
 // serve::Cluster — an in-process fleet of serving nodes behind a
 // consistent-hash router. The scale-out layer of `src/serve/`: N
 // `GranuleService` nodes (each with its own RAM tier, scheduler and obs
-// registry) held behind the `NodeHandle` interface, one shared `DiskCache`
-// directory as the fleet-wide cold tier, and a router that turns a
-// `ProductRequest` into "which node serves this key".
+// registry), one shared `DiskCache` directory as the fleet-wide cold tier,
+// and a router that turns a `ProductRequest` into "which node serves this
+// key".
 //
 // Routing. The request's *shallow* (classification-kind) `ProductKey`
 // hashes onto a `HashRing` (virtual nodes; see hash_ring.hpp). Because
@@ -54,7 +54,6 @@
 
 #include "obs/registry.hpp"
 #include "serve/hash_ring.hpp"
-#include "serve/node.hpp"
 #include "serve/service.hpp"
 #include "util/backoff.hpp"
 #include "util/mutex.hpp"
@@ -159,7 +158,7 @@ class Cluster {
   bool is_live(std::size_t i) const;
   /// Direct node access (tests, metrics drill-down). Valid for the cluster
   /// lifetime, even after kill_node.
-  NodeHandle& node(std::size_t i) { return *nodes_.at(i); }
+  GranuleService& node(std::size_t i) { return *nodes_.at(i); }
 
   /// Take a node out of the fleet: remove it from the ring (its key ranges
   /// re-route with minimal churn), then drain it. Idempotent and terminal —

@@ -172,21 +172,20 @@ GranuleProduct DiskCache::deserialize(std::span<const std::uint8_t> bytes,
 
 DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
   if (config_.dir.empty()) throw std::invalid_argument("DiskCache: empty directory");
-  if (config_.registry) {
-    obs::Registry& reg = *config_.registry;
-    const obs::Labels tier{{"tier", "disk"}};
-    hits_total_ = &reg.counter("is2_cache_hits_total", tier, "client lookups served");
-    misses_total_ = &reg.counter("is2_cache_misses_total", tier, "client lookups missed");
-    writes_total_ = &reg.counter("is2_cache_writes_total", tier, "successful put publishes");
-    evictions_total_ =
-        &reg.counter("is2_cache_evictions_total", tier, "files deleted by byte budget");
-    corrupt_total_ = &reg.counter("is2_cache_corrupt_dropped_total", tier,
-                                  "stale/corrupt/partial files deleted");
-    read_retries_total_ = &reg.counter("is2_cache_read_retries_total", tier,
-                                       "failed reads retried before the corrupt-drop path");
-    bytes_gauge_ = &reg.gauge("is2_cache_bytes", tier, "resident on-disk bytes");
-    entries_gauge_ = &reg.gauge("is2_cache_entries", tier, "resident file count");
-  }
+  if (!config_.registry) owned_registry_ = std::make_unique<obs::Registry>();
+  obs::Registry& reg = config_.registry ? *config_.registry : *owned_registry_;
+  const obs::Labels tier{{"tier", "disk"}};
+  hits_total_ = &reg.counter("is2_cache_hits_total", tier, "client lookups served");
+  misses_total_ = &reg.counter("is2_cache_misses_total", tier, "client lookups missed");
+  writes_total_ = &reg.counter("is2_cache_writes_total", tier, "successful put publishes");
+  evictions_total_ =
+      &reg.counter("is2_cache_evictions_total", tier, "files deleted by byte budget");
+  corrupt_total_ = &reg.counter("is2_cache_corrupt_dropped_total", tier,
+                                "stale/corrupt/partial files deleted");
+  read_retries_total_ = &reg.counter("is2_cache_read_retries_total", tier,
+                                     "failed reads retried before the corrupt-drop path");
+  bytes_gauge_ = &reg.gauge("is2_cache_bytes", tier, "resident on-disk bytes");
+  entries_gauge_ = &reg.gauge("is2_cache_entries", tier, "resident file count");
   fs::create_directories(config_.dir);
 
   // The object is not shared yet, but the manifest rebuild below touches
@@ -212,7 +211,7 @@ DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
       if (path.find(".is2p.tmp.") != std::string::npos) {  // crashed mid-write
         std::error_code ec;
         fs::remove(de.path(), ec);
-        ++corrupt_dropped_;
+        corrupt_total_->inc();
       }
       continue;
     }
@@ -233,7 +232,7 @@ DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
     } catch (const std::exception&) {
       std::error_code ec;
       fs::remove(de.path(), ec);
-      ++corrupt_dropped_;
+      corrupt_total_->inc();
     }
   }
   // Oldest files become the LRU end (first eviction candidates).
@@ -256,9 +255,9 @@ void DiskCache::drop_entry_locked(std::list<Entry>::iterator it, bool corrupt) {
   index_.erase(it->key);
   lru_.erase(it);
   if (corrupt)
-    ++corrupt_dropped_;
+    corrupt_total_->inc();
   else
-    ++evictions_;
+    evictions_total_->inc();
 }
 
 void DiskCache::evict_over_budget_locked() {
@@ -291,7 +290,7 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
     util::MutexLock lock(mutex_);
     const auto it = index_.find(key);
     if (it == index_.end()) {
-      if (count_stats) ++misses_;
+      if (count_stats) misses_total_->inc();
       return nullptr;
     }
     path = it->second->path;
@@ -316,12 +315,12 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
           util::MutexLock lock(mutex_);
           const auto it = index_.find(key);
           if (it == index_.end()) {
-            if (count_stats) ++misses_;
+            if (count_stats) misses_total_->inc();
             return nullptr;
           }
           path = it->second->path;
           gen = it->second->gen;
-          ++disk_read_retries_;
+          read_retries_total_->inc();
         }
         backoff.sleep();
         continue;
@@ -339,7 +338,7 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
       // file always carries a newer generation and is never deleted here.
       if (it != index_.end() && it->second->gen == gen)
         drop_entry_locked(it->second, /*corrupt=*/true);
-      if (count_stats) ++misses_;
+      if (count_stats) misses_total_->inc();
       return nullptr;
     }
   }
@@ -347,7 +346,7 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
   util::MutexLock lock(mutex_);
   const auto it = index_.find(key);
   if (it != index_.end()) lru_.splice(lru_.begin(), lru_, it->second);  // refresh
-  if (count_stats) ++hits_;
+  if (count_stats) hits_total_->inc();
   return product;
 }
 
@@ -399,7 +398,7 @@ void DiskCache::put(const ProductKey& key, const GranuleProduct& product) {
   lru_.push_front(Entry{key, path, bytes.size(), next_gen_++});
   index_[key] = lru_.begin();
   bytes_ += bytes.size();
-  ++writes_;
+  writes_total_->inc();
   evict_over_budget_locked();
 }
 
@@ -408,32 +407,21 @@ bool DiskCache::contains(const ProductKey& key) const {
   return index_.count(key) != 0;
 }
 
-void DiskCache::sync_registry_locked(const DiskCacheStats& totals) const {
-  if (!hits_total_) return;
-  // Counter increments are exact deltas vs the last sync (totals only grow).
-  hits_total_->inc(totals.hits - exported_.hits);
-  misses_total_->inc(totals.misses - exported_.misses);
-  writes_total_->inc(totals.writes - exported_.writes);
-  evictions_total_->inc(totals.evictions - exported_.evictions);
-  corrupt_total_->inc(totals.corrupt_dropped - exported_.corrupt_dropped);
-  read_retries_total_->inc(totals.disk_read_retries - exported_.disk_read_retries);
-  bytes_gauge_->set(static_cast<double>(totals.bytes));
-  entries_gauge_->set(static_cast<double>(totals.entries));
-  exported_ = totals;
-}
-
 DiskCacheStats DiskCache::stats() const {
-  util::MutexLock lock(mutex_);
   DiskCacheStats out;
-  out.hits = hits_;
-  out.misses = misses_;
-  out.writes = writes_;
-  out.evictions = evictions_;
-  out.corrupt_dropped = corrupt_dropped_;
-  out.disk_read_retries = disk_read_retries_;
-  out.bytes = bytes_;
-  out.entries = lru_.size();
-  sync_registry_locked(out);
+  out.hits = hits_total_->value();
+  out.misses = misses_total_->value();
+  out.writes = writes_total_->value();
+  out.evictions = evictions_total_->value();
+  out.corrupt_dropped = corrupt_total_->value();
+  out.disk_read_retries = read_retries_total_->value();
+  {
+    util::MutexLock lock(mutex_);
+    out.bytes = bytes_;
+    out.entries = lru_.size();
+  }
+  bytes_gauge_->set(static_cast<double>(out.bytes));
+  entries_gauge_->set(static_cast<double>(out.entries));
   return out;
 }
 

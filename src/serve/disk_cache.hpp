@@ -20,6 +20,8 @@
 //    never delete a concurrently republished healthy file. The service's
 //    write-back still runs on a background thread so cold builds never
 //    wait on serialization.
+//  * Traffic and health counters are registry Counters (relaxed atomics)
+//    incremented where the event happens, so they are exact at any time.
 //  * Entries are keyed by the same `ProductKey` as the RAM tier. The
 //    config-hash and a format version live in every file header, so a config,
 //    model or format change makes old entries unreadable-as-stale: they are
@@ -53,10 +55,9 @@ namespace is2::serve {
 struct DiskCacheConfig {
   std::string dir;                         ///< cache directory (created if absent)
   std::size_t byte_budget = 1ull << 30;    ///< total on-disk bytes before LRU eviction
-  /// When set, the cache mirrors its counters into `is2_cache_*{tier="disk"}`
-  /// instruments, synced lazily inside stats() (exact deltas since the last
-  /// sync) — the get/put hot paths are untouched. The registry must outlive
-  /// the cache.
+  /// Registry of the cache's `is2_cache_*{tier="disk"}` instruments (must
+  /// outlive the cache); nullptr = the cache owns a private registry
+  /// (stats() works the same either way).
   obs::Registry* registry = nullptr;
   /// A failed file read (IO error, torn read under concurrent eviction,
   /// injected `disk.read` fault) is retried this many times with backoff
@@ -67,6 +68,8 @@ struct DiskCacheConfig {
   util::BackoffConfig read_backoff{0.2, 5.0};
 };
 
+/// Value snapshot of one disk tier: the registry counters plus the
+/// manifest's resident size at the time of the call.
 struct DiskCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -129,6 +132,8 @@ class DiskCache {
   /// Manifest-only probe: no file IO, no LRU refresh, no counters.
   bool contains(const ProductKey& key) const;
 
+  /// Counters plus resident bytes/entries; also refreshes the
+  /// `is2_cache_bytes` / `is2_cache_entries` gauges.
   DiskCacheStats stats() const;
 
   /// Delete every cache file and reset the manifest (not the counters).
@@ -171,7 +176,6 @@ class DiskCache {
   void evict_over_budget_locked() REQUIRES(mutex_);
   void drop_entry_locked(std::list<Entry>::iterator it, bool corrupt) REQUIRES(mutex_);
   std::shared_ptr<const GranuleProduct> get_impl(const ProductKey& key, bool count_stats);
-  void sync_registry_locked(const DiskCacheStats& totals) const REQUIRES(mutex_);
 
   DiskCacheConfig config_;
   std::function<void(const ProductKey&)> read_hook_;  ///< tests only
@@ -181,13 +185,10 @@ class DiskCache {
       GUARDED_BY(mutex_);
   std::size_t bytes_ GUARDED_BY(mutex_) = 0;
   std::uint64_t next_gen_ GUARDED_BY(mutex_) = 1;  ///< publish generation source
-  std::uint64_t hits_ GUARDED_BY(mutex_) = 0, misses_ GUARDED_BY(mutex_) = 0,
-      writes_ GUARDED_BY(mutex_) = 0, evictions_ GUARDED_BY(mutex_) = 0,
-      corrupt_dropped_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t disk_read_retries_ GUARDED_BY(mutex_) = 0;
 
-  /// Registry mirror (nullptr = off); the raw counters above stay the source
-  /// of truth and `exported_` tracks what was already pushed (under mutex_).
+  /// Instruments, set once at construction (stable for the registry's
+  /// lifetime). Owned registry only when DiskCacheConfig::registry was null.
+  std::unique_ptr<obs::Registry> owned_registry_;
   obs::Counter* hits_total_ = nullptr;
   obs::Counter* misses_total_ = nullptr;
   obs::Counter* writes_total_ = nullptr;
@@ -196,7 +197,6 @@ class DiskCache {
   obs::Counter* read_retries_total_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
   obs::Gauge* entries_gauge_ = nullptr;
-  mutable DiskCacheStats exported_ GUARDED_BY(mutex_);
 };
 
 }  // namespace is2::serve

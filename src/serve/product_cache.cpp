@@ -33,30 +33,16 @@ ProductCache::ProductCache(std::size_t byte_budget, std::size_t num_shards,
   if (shard_budget_ == 0) shard_budget_ = 1;
   shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) shards_.push_back(std::make_unique<Shard>());
-  if (registry) {
-    const obs::Labels tier{{"tier", "ram"}};
-    hits_total_ = &registry->counter("is2_cache_hits_total", tier, "client lookups served");
-    misses_total_ = &registry->counter("is2_cache_misses_total", tier, "client lookups missed");
-    evictions_total_ =
-        &registry->counter("is2_cache_evictions_total", tier, "entries evicted by byte budget");
-    insertions_total_ = &registry->counter("is2_cache_insertions_total", tier, "entries inserted");
-    bytes_gauge_ = &registry->gauge("is2_cache_bytes", tier, "resident product bytes");
-    entries_gauge_ = &registry->gauge("is2_cache_entries", tier, "resident product count");
-  }
-}
-
-void ProductCache::sync_registry(const CacheStats& totals) const {
-  if (!hits_total_) return;
-  util::MutexLock lock(export_mutex_);
-  // Counter increments are exact deltas vs the last sync; totals can only
-  // grow, so the subtractions never underflow.
-  hits_total_->inc(totals.hits - exported_.hits);
-  misses_total_->inc(totals.misses - exported_.misses);
-  evictions_total_->inc(totals.evictions - exported_.evictions);
-  insertions_total_->inc(totals.insertions - exported_.insertions);
-  bytes_gauge_->set(static_cast<double>(totals.bytes));
-  entries_gauge_->set(static_cast<double>(totals.entries));
-  exported_ = totals;
+  if (!registry) owned_registry_ = std::make_unique<obs::Registry>();
+  obs::Registry& reg = registry ? *registry : *owned_registry_;
+  const obs::Labels tier{{"tier", "ram"}};
+  hits_total_ = &reg.counter("is2_cache_hits_total", tier, "client lookups served");
+  misses_total_ = &reg.counter("is2_cache_misses_total", tier, "client lookups missed");
+  evictions_total_ =
+      &reg.counter("is2_cache_evictions_total", tier, "entries evicted by byte budget");
+  insertions_total_ = &reg.counter("is2_cache_insertions_total", tier, "entries inserted");
+  bytes_gauge_ = &reg.gauge("is2_cache_bytes", tier, "resident product bytes");
+  entries_gauge_ = &reg.gauge("is2_cache_entries", tier, "resident product count");
 }
 
 ProductCache::Shard& ProductCache::shard_for(const ProductKey& key) const {
@@ -68,10 +54,10 @@ std::shared_ptr<const GranuleProduct> ProductCache::get(const ProductKey& key) {
   util::MutexLock lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.misses;
+    misses_total_->inc();
     return nullptr;
   }
-  ++shard.hits;
+  hits_total_->inc();
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // refresh
   return it->second->product;
 }
@@ -100,14 +86,14 @@ void ProductCache::put(const ProductKey& key, std::shared_ptr<const GranuleProdu
   shard.lru.push_front(Entry{key, std::move(product), bytes});
   shard.index[key] = shard.lru.begin();
   shard.bytes += bytes;
-  ++shard.insertions;
+  insertions_total_->inc();
 
   while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
     const Entry& victim = shard.lru.back();
     shard.bytes -= victim.bytes;
     shard.index.erase(victim.key);
     shard.lru.pop_back();
-    ++shard.evictions;
+    evictions_total_->inc();
   }
 }
 
@@ -119,16 +105,17 @@ bool ProductCache::contains(const ProductKey& key) const {
 
 CacheStats ProductCache::stats() const {
   CacheStats out;
+  out.hits = hits_total_->value();
+  out.misses = misses_total_->value();
+  out.evictions = evictions_total_->value();
+  out.insertions = insertions_total_->value();
   for (const auto& shard : shards_) {
     util::MutexLock lock(shard->mutex);
-    out.hits += shard->hits;
-    out.misses += shard->misses;
-    out.evictions += shard->evictions;
-    out.insertions += shard->insertions;
     out.bytes += shard->bytes;
     out.entries += shard->lru.size();
   }
-  sync_registry(out);
+  bytes_gauge_->set(static_cast<double>(out.bytes));
+  entries_gauge_->set(static_cast<double>(out.entries));
   return out;
 }
 

@@ -9,9 +9,11 @@
 //
 // Ownership / threading contract: every method is thread-safe; a call locks
 // exactly one shard mutex (stats()/clear() lock each in turn) and performs
-// no IO, so nothing here blocks beyond a short critical section. Products
-// are immutable once inserted and handed out as shared_ptr<const>, so a hit
-// stays valid after eviction; callers never copy product bytes.
+// no IO, so nothing here blocks beyond a short critical section. Hit, miss,
+// insertion and eviction counters are registry Counters (relaxed atomics)
+// incremented where the event happens, so they are exact at any time.
+// Products are immutable once inserted and handed out as shared_ptr<const>,
+// so a hit stays valid after eviction; callers never copy product bytes.
 #pragma once
 
 #include <cstddef>
@@ -74,6 +76,8 @@ struct GranuleProduct {
   std::size_t approx_bytes() const;
 };
 
+/// Value snapshot of one RAM tier: the registry counters plus the resident
+/// size, summed over the shards at the time of the call.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -91,10 +95,9 @@ struct CacheStats {
 class ProductCache {
  public:
   /// `byte_budget` is split evenly across `num_shards` independent LRU lists.
-  /// With a `registry`, the cache mirrors its counters into
-  /// `is2_cache_*{tier="ram"}` instruments — synced lazily inside stats()
-  /// (delta of the per-shard counters since the last sync), so the hot get/
-  /// put paths stay exactly one shard lock with no extra atomics.
+  /// The cache counts into `is2_cache_*{tier="ram"}` instruments of
+  /// `registry` (which must outlive the cache), or of a private registry
+  /// when none is given.
   explicit ProductCache(std::size_t byte_budget, std::size_t num_shards = 8,
                         obs::Registry* registry = nullptr);
 
@@ -119,6 +122,8 @@ class ProductCache {
   /// Lookup without touching LRU order or hit/miss counters.
   bool contains(const ProductKey& key) const;
 
+  /// Counters plus resident bytes/entries; also refreshes the
+  /// `is2_cache_bytes` / `is2_cache_entries` gauges.
   CacheStats stats() const;
   void clear();
 
@@ -137,30 +142,23 @@ class ProductCache {
     std::unordered_map<ProductKey, std::list<Entry>::iterator, ProductKeyHash> index
         GUARDED_BY(mutex);
     std::size_t bytes GUARDED_BY(mutex) = 0;
-    std::uint64_t hits GUARDED_BY(mutex) = 0, misses GUARDED_BY(mutex) = 0,
-        evictions GUARDED_BY(mutex) = 0, insertions GUARDED_BY(mutex) = 0;
   };
 
   Shard& shard_for(const ProductKey& key) const;
-  void sync_registry(const CacheStats& totals) const;
 
   std::size_t byte_budget_;
   std::size_t shard_budget_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Registry mirror (nullptr = off). The shard counters stay the source of
-  /// truth; `exported_` remembers what has already been pushed so counter
-  /// increments are exact deltas. The instrument pointers are set once at
-  /// construction (stable for the registry's lifetime) — only the delta
-  /// bookkeeping needs the export mutex.
+  /// Instruments, set once at construction (stable for the registry's
+  /// lifetime). Owned registry only when none was passed in.
+  std::unique_ptr<obs::Registry> owned_registry_;
   obs::Counter* hits_total_ = nullptr;
   obs::Counter* misses_total_ = nullptr;
   obs::Counter* evictions_total_ = nullptr;
   obs::Counter* insertions_total_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
   obs::Gauge* entries_gauge_ = nullptr;
-  mutable util::Mutex export_mutex_;
-  mutable CacheStats exported_ GUARDED_BY(export_mutex_);
 };
 
 }  // namespace is2::serve

@@ -7,18 +7,17 @@
 //    important. `interactive` is user-facing traffic, `batch` is planned
 //    reprocessing, `background` is opportunistic work (prefetch, backfill)
 //    that is always the first to be shed.
-//  * `BoundedQueue<T>` — a single-class bounded MPMC queue. push() blocks
-//    while the queue is full (backpressure toward the client), try_push()
-//    sheds load instead; pop() blocks while empty and drains remaining items
-//    after close() so shutdown never drops accepted work.
-//  * `PriorityQueue<T>` — the per-class variant the scheduler dispatches
-//    from: one bounded deque per `Priority` sharing a total capacity,
-//    weighted-round-robin pop (so a flood of interactive work cannot starve
-//    background forever, and vice versa), and displacement on try_push: when
-//    full, the newest queued item of the lowest class strictly below the
-//    incoming one is shed to make room (background first). promote() moves a
-//    queued item to a higher class when an important requester coalesces
-//    onto a job queued by a less important one.
+//  * `PriorityQueue<T>` — the bounded MPMC queue the scheduler dispatches
+//    from: one deque per `Priority` sharing a total capacity. push() blocks
+//    while the queue is full (backpressure toward the client); pop() blocks
+//    while empty and drains remaining items after close() so shutdown never
+//    drops accepted work. Dequeue is weighted round-robin (so a flood of
+//    interactive work cannot starve background forever, and vice versa),
+//    and try_push displaces instead of blocking: when full, the newest
+//    queued item of the lowest class strictly below the incoming one is
+//    shed to make room (background first). promote() moves a queued item
+//    to a higher class when an important requester coalesces onto a job
+//    queued by a less important one.
 //  * `BatchScheduler` — coalesces concurrent requests for the same
 //    (granule, beam, config) into a single build job (single-flight), queues
 //    cold jobs through the priority queue, and executes them on a
@@ -120,72 +119,6 @@ struct ProductResponse {
 };
 
 using ProductFuture = std::shared_future<ProductResponse>;
-
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity ? capacity : 1) {}
-
-  /// Blocking push; returns false iff the queue was closed.
-  bool push(T item) {
-    util::MutexLock lock(mutex_);
-    // Explicit wait loops throughout (not predicate lambdas): the
-    // thread-safety analysis only sees guarded reads under the held lock.
-    while (!closed_ && items_.size() >= capacity_) space_cv_.wait(lock);
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    item_cv_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push; returns false when full or closed.
-  bool try_push(T item) {
-    {
-      util::MutexLock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    item_cv_.notify_one();
-    return true;
-  }
-
-  /// Blocking pop; empty optional once closed and drained.
-  std::optional<T> pop() {
-    util::MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) item_cv_.wait(lock);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    space_cv_.notify_one();
-    return item;
-  }
-
-  void close() {
-    {
-      util::MutexLock lock(mutex_);
-      closed_ = true;
-    }
-    item_cv_.notify_all();
-    space_cv_.notify_all();
-  }
-
-  std::size_t size() const {
-    util::MutexLock lock(mutex_);
-    return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  mutable util::Mutex mutex_;
-  util::CondVar item_cv_;   ///< signaled on push/close
-  util::CondVar space_cv_;  ///< signaled on pop/close
-  std::deque<T> items_ GUARDED_BY(mutex_);
-  bool closed_ GUARDED_BY(mutex_) = false;
-};
 
 /// Bounded MPMC queue with one FIFO lane per `Priority`, a shared total
 /// capacity, weighted-round-robin dequeue and class-aware displacement.
@@ -331,10 +264,9 @@ class PriorityQueue {
   bool closed_ GUARDED_BY(mutex_) = false;
 };
 
-/// Scheduler counters, as a value snapshot. Since the obs migration this is
-/// assembled from registry-backed instruments (`is2_sched_*` counters with
-/// per-class labels) by stats() — the struct shape is preserved for tests
-/// and benches, and the same numbers flow through `obs::to_prometheus`.
+/// Scheduler counters, as a value snapshot: stats() reads them from the
+/// registry's `is2_sched_*` instruments (per-class labels), so the same
+/// numbers flow through `obs::to_prometheus`.
 struct SchedulerStats {
   std::uint64_t dispatched = 0;  ///< build jobs accepted into the queue
   std::uint64_t coalesced = 0;   ///< requests attached to an in-flight build

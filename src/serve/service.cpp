@@ -125,15 +125,6 @@ atl03::Granule ShardIndex::load_merged(const std::vector<std::string>& files) {
 }
 
 // ---------------------------------------------------------------------------
-// Config fingerprint (deprecated wrapper; canonical impl: pipeline/)
-// ---------------------------------------------------------------------------
-
-std::uint64_t config_fingerprint(const core::PipelineConfig& config,
-                                 seasurface::Method method) {
-  return pipeline::config_fingerprint(config, method);
-}
-
-// ---------------------------------------------------------------------------
 // GranuleService
 // ---------------------------------------------------------------------------
 
@@ -153,8 +144,8 @@ GranuleService::GranuleService(const ServiceConfig& config,
 
   // Register every service-level instrument once; the request paths then
   // touch pre-resolved pointers only. Stage latencies share one metric name
-  // with a `stage` label (low cardinality: seven fixed values), matching the
-  // legacy ServiceMetrics fields one-to-one.
+  // with a `stage` label (low cardinality: the seven builder stages plus
+  // load, disk_load and total).
   const auto stage_hist = [this](const char* stage) {
     return &registry_.histogram("is2_serve_stage_ms", {{"stage", stage}},
                                 "serve-side stage latency (ms)");
@@ -173,10 +164,8 @@ GranuleService::GranuleService(const ServiceConfig& config,
   resumed_builds_total_ = &registry_.counter("is2_serve_resumed_builds_total", {},
                                              "builds seeded from a shallower kind");
   stage_load_ = stage_hist("load");
-  stage_features_ = stage_hist("features");
-  stage_inference_ = stage_hist("inference");
-  stage_seasurface_ = stage_hist("seasurface");
-  stage_freeboard_ = stage_hist("freeboard");
+  for (std::size_t i = 0; i < pipeline::kNumStages; ++i)
+    stage_builder_[i] = stage_hist(pipeline::stage_name(static_cast<pipeline::StageId>(i)));
   stage_disk_load_ = stage_hist("disk_load");
   stage_total_ = stage_hist("total");
   queue_wait_hist_ = &registry_.histogram("is2_serve_queue_wait_ms", {},
@@ -452,27 +441,16 @@ ProductResponse GranuleService::build(const ProductRequest& request, const Produ
   pipeline::StageTrace trace;
   builder_.build(art, request.kind, &backend_for(request.backend), request.method, &trace);
 
-  // Fold the builder's stage trace into the service's legacy stage view
-  // (`load` additionally carries the serve-side shard IO). Stages a resumed
-  // build skipped record nothing, exactly like the disk fast path.
-  using pipeline::StageId;
-  auto fold = [&](obs::HistogramMetric* hist, std::initializer_list<StageId> ids,
-                  double extra_ms, bool force) {
-    double ms = extra_ms;
-    bool any = force;
-    for (const StageId id : ids)
-      if (trace.did(id)) {
-        ms += trace.at(id);
-        any = true;
-      }
-    if (any) hist->observe(ms);
-  };
-  fold(stage_load_, {StageId::preprocess, StageId::resample, StageId::fpb}, shard_ms,
-       /*force=*/!seed);
-  fold(stage_features_, {StageId::features}, 0.0, false);
-  fold(stage_inference_, {StageId::classify}, 0.0, false);
-  fold(stage_seasurface_, {StageId::seasurface}, 0.0, false);
-  fold(stage_freeboard_, {StageId::freeboard}, 0.0, false);
+  // One sample per stage that ran; a resumed build's skipped prefix records
+  // nothing. `load` is a from-shards build's shard IO plus the stages that
+  // turn photons into segments.
+  for (std::size_t i = 0; i < pipeline::kNumStages; ++i)
+    if (trace.ran[i]) stage_builder_[i]->observe(trace.ms[i]);
+  if (!seed) {
+    using pipeline::StageId;
+    stage_load_->observe(shard_ms + trace.at(StageId::preprocess) +
+                         trace.at(StageId::resample) + trace.at(StageId::fpb));
+  }
 
   auto product = std::make_shared<GranuleProduct>();
   product->granule_id = request.granule_id;
@@ -491,21 +469,6 @@ ProductResponse GranuleService::build(const ProductRequest& request, const Produ
   return ProductResponse{std::move(product), false, 0.0, ServedFrom::build};
 }
 
-namespace {
-
-/// A HistogramMetric snapshot is maintained with the same util types in the
-/// same add() order as StageLatency::add, so this assignment reproduces a
-/// StageLatency bit-for-bit (the ServiceMetrics struct shape survives the
-/// registry migration unchanged).
-StageLatency to_stage_latency(const obs::HistogramMetric::Snapshot& snap) {
-  StageLatency out;
-  out.stats = snap.stats;
-  out.histogram = snap.histogram;
-  return out;
-}
-
-}  // namespace
-
 ServiceMetrics GranuleService::metrics() const {
   ServiceMetrics out;
   out.cache = cache_.stats();
@@ -514,31 +477,28 @@ ServiceMetrics GranuleService::metrics() const {
   for (std::size_t c = 0; c < kPriorityClasses; ++c) {
     out.by_class[c].requests = requests_total_[c]->value();
     out.requests += out.by_class[c].requests;
-    out.by_class[c].latency = to_stage_latency(class_service_[c]->snapshot());
+    out.by_class[c].latency = class_service_[c]->snapshot();
   }
   out.fast_hits = fast_hits_total_->value();
   out.writeback_failures = writeback_failures_total_->value();
   out.resumed_builds = resumed_builds_total_->value();
   out.inference_batches = nn_backend_->batches();
   out.inference_windows = nn_backend_->windows();
-  out.load = to_stage_latency(stage_load_->snapshot());
-  out.features = to_stage_latency(stage_features_->snapshot());
-  out.inference = to_stage_latency(stage_inference_->snapshot());
-  out.seasurface = to_stage_latency(stage_seasurface_->snapshot());
-  out.freeboard = to_stage_latency(stage_freeboard_->snapshot());
-  out.disk_load = to_stage_latency(stage_disk_load_->snapshot());
-  out.total = to_stage_latency(stage_total_->snapshot());
-  out.queue_wait = to_stage_latency(queue_wait_hist_->snapshot());
-  out.service_time = to_stage_latency(service_time_hist_->snapshot());
-  out.builder = builder_.metrics().stages();
+  out.load = stage_load_->snapshot();
+  for (std::size_t i = 0; i < pipeline::kNumStages; ++i)
+    out.builder[i] = stage_builder_[i]->snapshot();
+  out.disk_load = stage_disk_load_->snapshot();
+  out.total = stage_total_->snapshot();
+  out.queue_wait = queue_wait_hist_->snapshot();
+  out.service_time = service_time_hist_->snapshot();
   return out;
 }
 
 obs::RegistrySnapshot GranuleService::obs_snapshot() const {
-  // Pull the lazily-synced mirrors up to date before reading: the cache
-  // tiers and scheduler push their counters/gauges inside stats(), and the
+  // Refresh what is only sampled on demand: the cache tiers' bytes/entries
+  // gauges and the scheduler's depth gauges are set inside stats(), and the
   // inference totals live in the nn backend (delta-synced here so two
-  // concurrent snapshots cannot double-count).
+  // concurrent snapshots cannot double-count). Counters need no refresh.
   (void)cache_.stats();
   if (disk_) (void)disk_->stats();
   (void)scheduler_->stats();

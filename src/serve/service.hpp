@@ -26,11 +26,12 @@
 // the build's caller never waits for disk. A coalescing `BatchScheduler`
 // makes cold keys single-flight, applies queue backpressure, and admits by
 // `Priority` class (weighted dequeue; background shed first under
-// saturation). Every stage is latency-instrumented (util::Timer ->
-// util::RunningStats + util::Histogram), end-to-end service latency is
-// additionally split per priority class, and everything lands in one
-// `ServiceMetrics` snapshot. `warm()` bulk-prefetches products onto a
-// `mapred::Engine`, the same cluster abstraction the batch jobs use.
+// saturation). Every builder stage, the shard load, disk hits and whole
+// builds are latency-instrumented into the service's `obs::Registry`
+// (`is2_serve_stage_ms{stage}` histograms), end-to-end service latency is
+// additionally split per priority class, and `metrics()` reads it all back
+// as one `ServiceMetrics` snapshot. `warm()` bulk-prefetches products onto
+// a `mapred::Engine`, the same cluster abstraction the batch jobs use.
 //
 // Threading contract: every public method is thread-safe. submit() blocks
 // only while the scheduler queue is full; try_submit() never blocks;
@@ -39,6 +40,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -60,7 +62,6 @@
 #include "pipeline/classifier.hpp"
 #include "pipeline/product_builder.hpp"
 #include "serve/disk_cache.hpp"
-#include "serve/node.hpp"
 #include "serve/product_cache.hpp"
 #include "serve/scheduler.hpp"
 #include "util/mutex.hpp"
@@ -102,16 +103,45 @@ class ShardIndex {
   std::map<std::pair<std::string, int>, std::vector<std::string>> beams_;
 };
 
-/// DEPRECATED thin wrapper over `pipeline::config_fingerprint` — the
-/// canonical fingerprint moved into the pipeline layer with the builder
-/// (where `pipeline::product_fingerprint` also mixes in backend identity).
-/// Kept for one release; call the pipeline functions in new code.
-std::uint64_t config_fingerprint(const core::PipelineConfig& config,
-                                 seasurface::Method method);
+/// Per-priority-class slice of the service metrics: how much traffic the
+/// class sent and the service latency it observed. Fast RAM hits record ~0
+/// (bottom histogram bin); scheduled jobs record queue wait + execution
+/// (disk load or full build) once per job at completion — coalesced waiters
+/// share that job's sample, so under same-key races latency.stats.count()
+/// can be below requests.
+struct ClassMetrics {
+  std::uint64_t requests = 0;
+  obs::HistogramMetric::Snapshot latency;  ///< RAM probe ~0 / queue wait + disk load / + build
+};
 
-// `StageLatency`, `ClassMetrics` and `ServiceMetrics` moved to
-// serve/node.hpp with the NodeHandle extraction — they are part of the node
-// surface the cluster router aggregates, not service internals.
+/// Value snapshot of one service's counters and latency distributions, read
+/// from its registry (the latencies are `is2_serve_*_ms` histogram
+/// snapshots; the cache and scheduler stats come from their stats()).
+struct ServiceMetrics {
+  CacheStats cache;          ///< RAM tier
+  DiskCacheStats disk;       ///< disk tier (zeroed when no disk tier; the
+                             ///< fleet-wide numbers when the tier is shared)
+  SchedulerStats scheduler;
+  std::uint64_t requests = 0;   ///< submit + try_submit calls
+  std::uint64_t fast_hits = 0;  ///< answered from RAM cache without dispatch
+  std::uint64_t writeback_failures = 0;  ///< async disk writes that threw
+  std::uint64_t inference_batches = 0;
+  std::uint64_t inference_windows = 0;
+  obs::HistogramMetric::Snapshot load;       ///< shard read + preprocess + resample + FPB
+  obs::HistogramMetric::Snapshot disk_load;  ///< disk-tier hit: read + deserialize + promote
+  obs::HistogramMetric::Snapshot total;      ///< whole build (cold only; resumed = suffix)
+  /// Scheduled jobs only (the fast RAM path never queues): how long the job
+  /// waited for a worker, and the full queue wait + execution. service_time
+  /// minus queue_wait is pure execution — the split the benches trend.
+  obs::HistogramMetric::Snapshot queue_wait;
+  obs::HistogramMetric::Snapshot service_time;
+  std::array<ClassMetrics, kPriorityClasses> by_class;  ///< index = Priority
+  /// Per-stage distributions of the builds this service ran, indexed by
+  /// pipeline::StageId (a stage a resumed build skipped records nothing;
+  /// shard IO is serve-side and lives in `load`, not here).
+  std::array<obs::HistogramMetric::Snapshot, pipeline::kNumStages> builder{};
+  std::uint64_t resumed_builds = 0;  ///< builds seeded from a shallower kind
+};
 
 struct ServiceConfig {
   std::size_t workers = 4;            ///< scheduler worker threads / model replicas
@@ -148,7 +178,9 @@ struct ServiceConfig {
   double trace_slow_ms = 1000.0;           ///< traces this slow always kept
 };
 
-class GranuleService : public NodeHandle {
+/// One serving node: the unit `serve::Cluster` routes to. Thread-safe; the
+/// cluster calls it from many client threads concurrently.
+class GranuleService {
  public:
   /// Builds one model replica per worker; every invocation must produce an
   /// architecturally and numerically identical model (e.g. construct and
@@ -173,7 +205,7 @@ class GranuleService : public NodeHandle {
   /// Asynchronous serve: cache fast path resolves immediately; cold keys
   /// dispatch through the coalescing scheduler (blocking when the queue is
   /// full). Unknown (granule, beam) resolves to a broken future.
-  ProductFuture submit(const ProductRequest& request) override;
+  ProductFuture submit(const ProductRequest& request);
 
   /// Load-shedding variant: never blocks. Under saturation a queued job of a
   /// class strictly below the request's is displaced first (background
@@ -182,36 +214,41 @@ class GranuleService : public NodeHandle {
   /// anything was shed.
   std::optional<ProductFuture> try_submit(
       const ProductRequest& request,
-      std::optional<Priority>* shed_class = nullptr) override;
+      std::optional<Priority>* shed_class = nullptr);
 
   /// Bulk cache warm-up on a map-reduce engine (one task per request).
   /// Returns the number of products actually built (cache misses).
   std::size_t warm(const std::vector<ProductRequest>& requests,
-                   mapred::Engine& engine) override;
+                   mapred::Engine& engine);
 
-  /// Cache key a request resolves to (exposed for tests / cache probes).
-  ProductKey key_for(const ProductRequest& request) const override;
+  /// Cache key a request resolves to. Services built from the same config
+  /// and model produce identical keys — the property that lets the cluster
+  /// route by key and fetch products across nodes.
+  ProductKey key_for(const ProductRequest& request) const;
 
-  ServiceMetrics metrics() const override;
+  ServiceMetrics metrics() const;
 
-  /// The service's instrument registry (every `is2_serve_*`, `is2_sched_*`
-  /// and `is2_cache_*` metric of this instance lives here — feed it to
-  /// `obs::to_prometheus` / `obs::to_json`). Valid for the service lifetime.
+  /// The service's instrument registry: every `is2_serve_*`, `is2_sched_*`
+  /// and `is2_cache_*` metric of this instance lives here. Counters and
+  /// histograms are exact at any moment; the size and queue gauges and the
+  /// inference totals are refreshed by obs_snapshot(), which is what an
+  /// exposition endpoint should export. Valid for the service lifetime.
   const obs::Registry& registry() const { return registry_; }
   /// The service's span ring (feed `trace_spans()` to `obs::to_perfetto`).
   const obs::Tracer& tracer() const { return tracer_; }
 
-  /// Registry snapshot with every lazily-synced instrument refreshed first
-  /// (cache tiers, scheduler gauges, inference totals) — what an exposition
-  /// endpoint should serve.
-  obs::RegistrySnapshot obs_snapshot() const override;
+  /// Registry snapshot with the cache size gauges, scheduler gauges and
+  /// inference totals refreshed first — what an exposition endpoint should
+  /// serve; the cluster merges these under a per-node `node` label.
+  obs::RegistrySnapshot obs_snapshot() const;
 
-  /// Peer-fetch surface (NodeHandle): speculative RAM-tier probe / insert,
-  /// no hit-miss accounting — the cluster moves products across nodes with
-  /// these instead of re-running shard IO + inference.
-  std::shared_ptr<const GranuleProduct> peek_ram(const ProductKey& key) override;
-  void promote_ram(const ProductKey& key,
-                   std::shared_ptr<const GranuleProduct> product) override;
+  /// Peer-fetch surface: speculative RAM-tier probe by exact key (no
+  /// hit/miss counters — these probes are router traffic, not client
+  /// requests; LRU refreshed on hit) and insert of a product fetched from a
+  /// peer. The cluster moves products across nodes with these instead of
+  /// re-running shard IO + inference.
+  std::shared_ptr<const GranuleProduct> peek_ram(const ProductKey& key);
+  void promote_ram(const ProductKey& key, std::shared_ptr<const GranuleProduct> product);
 
   /// Best-effort snapshot of the trace ring, oldest first.
   std::vector<obs::Span> trace_spans() const { return tracer_.spans(); }
@@ -226,8 +263,9 @@ class GranuleService : public NodeHandle {
   /// (tests and orderly restarts; normal traffic never needs this).
   void wait_disk_writebacks();
 
-  /// Drain accepted work, then pending disk write-backs (idempotent).
-  void shutdown() override;
+  /// Drain accepted work, then pending disk write-backs (idempotent). After
+  /// shutdown() the submit flavors return broken futures.
+  void shutdown();
 
  private:
   ProductResponse build(const ProductRequest& request, const ProductKey& key);
@@ -262,10 +300,7 @@ class GranuleService : public NodeHandle {
   obs::Counter* writeback_failures_total_ = nullptr;
   obs::Counter* resumed_builds_total_ = nullptr;
   obs::HistogramMetric* stage_load_ = nullptr;
-  obs::HistogramMetric* stage_features_ = nullptr;
-  obs::HistogramMetric* stage_inference_ = nullptr;
-  obs::HistogramMetric* stage_seasurface_ = nullptr;
-  obs::HistogramMetric* stage_freeboard_ = nullptr;
+  std::array<obs::HistogramMetric*, pipeline::kNumStages> stage_builder_{};  ///< by StageId
   obs::HistogramMetric* stage_disk_load_ = nullptr;
   obs::HistogramMetric* stage_total_ = nullptr;
   obs::HistogramMetric* queue_wait_hist_ = nullptr;

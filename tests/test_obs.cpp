@@ -1,11 +1,12 @@
 // Observability subsystem tests: registry instrument exactness under
-// concurrency, HistogramMetric/StageLatency bit-identity, trace-ring
+// concurrency, histogram snapshot consistency and edge clamping, trace-ring
 // overflow and seqlock tearing resistance, tail-based sampling, coalesced
 // requests sharing one trace id, the Prometheus exposition format (linted
 // in-process, the same rules tools/check_prometheus.py enforces in CI), a
 // structural check of the Perfetto export for one cold freeboard build
 // (root + queue_wait + all seven pipeline stage spans, correctly nested),
-// StageLatency percentile estimates vs exact order statistics, and the
+// cache-tier counters exact in the registry without a stats() refresh,
+// histogram percentile estimates vs exact order statistics, and the
 // util::logf sink/prefix contract.
 #include <gtest/gtest.h>
 
@@ -26,7 +27,7 @@
 #include "obs/instruments.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "pipeline/stage.hpp"
+#include "serve/disk_cache.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/service.hpp"
 #include "util/logging.hpp"
@@ -51,12 +52,6 @@ using serve::ProductResponse;
 // ---------------------------------------------------------------------------
 // Instruments + Registry
 // ---------------------------------------------------------------------------
-
-// The bit-identity contract between HistogramMetric and StageLatency starts
-// with identical binning constants; a drift here is a compile error.
-static_assert(HistogramMetric::kMinMs == pipeline::StageLatency::kMinMs);
-static_assert(HistogramMetric::kMaxMs == pipeline::StageLatency::kMaxMs);
-static_assert(HistogramMetric::kBinsPerDecade == pipeline::StageLatency::kBinsPerDecade);
 
 TEST(ObsRegistry, ConcurrentCounterIncrementsAreExact) {
   Registry reg;
@@ -107,27 +102,6 @@ TEST(ObsRegistry, SnapshotIsSortedByNameThenLabels) {
   }
 }
 
-TEST(ObsInstruments, HistogramMatchesStageLatencyBitForBit) {
-  HistogramMetric metric;
-  pipeline::StageLatency lat;
-  util::Rng rng(7);
-  for (int i = 0; i < 500; ++i) {
-    // Cover both clamp edges and five decades in between.
-    const double ms = std::pow(10.0, rng.uniform(-3.0, 6.0));
-    metric.observe(ms);
-    lat.add(ms);
-  }
-  const HistogramMetric::Snapshot snap = metric.snapshot();
-  EXPECT_EQ(snap.stats.count(), lat.stats.count());
-  EXPECT_EQ(snap.stats.sum(), lat.stats.sum());    // bitwise: same add order
-  EXPECT_EQ(snap.stats.mean(), lat.stats.mean());
-  EXPECT_EQ(snap.stats.min(), lat.stats.min());
-  EXPECT_EQ(snap.stats.max(), lat.stats.max());
-  ASSERT_EQ(snap.histogram.bins(), lat.histogram.bins());
-  for (std::size_t b = 0; b < lat.histogram.bins(); ++b)
-    EXPECT_EQ(snap.histogram.count(b), lat.histogram.count(b)) << "bin " << b;
-}
-
 TEST(ObsInstruments, HistogramSnapshotIsInternallyConsistent) {
   HistogramMetric metric;
   std::atomic<bool> stop{false};
@@ -145,6 +119,17 @@ TEST(ObsInstruments, HistogramSnapshotIsInternallyConsistent) {
   }
   stop = true;
   for (auto& w : writers) w.join();
+
+  // Samples outside [10 us, 100 s] clamp into the edge bins while the stats
+  // keep the true values.
+  metric.observe(1e-3);
+  metric.observe(1e6);
+  const HistogramMetric::Snapshot snap = metric.snapshot();
+  EXPECT_EQ(snap.stats.count(), snap.histogram.total());
+  EXPECT_EQ(snap.histogram.count(0), 1u);
+  EXPECT_EQ(snap.histogram.count(snap.histogram.bins() - 1), 1u);
+  EXPECT_EQ(snap.stats.min(), 1e-3);
+  EXPECT_EQ(snap.stats.max(), 1e6);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,27 +260,29 @@ TEST(ObsScheduler, CoalescedRequestsShareTraceId) {
 }
 
 // ---------------------------------------------------------------------------
-// StageLatency percentiles
+// Histogram snapshot percentiles
 // ---------------------------------------------------------------------------
 
-TEST(StageLatencyPercentiles, DegenerateDistributionIsExact) {
-  pipeline::StageLatency lat;
-  for (int i = 0; i < 100; ++i) lat.add(5.0);
+TEST(HistogramPercentiles, DegenerateDistributionIsExact) {
+  HistogramMetric metric;
+  for (int i = 0; i < 100; ++i) metric.observe(5.0);
+  const HistogramMetric::Snapshot lat = metric.snapshot();
   // The min/max clamp collapses the bin-resolution error entirely here.
   EXPECT_DOUBLE_EQ(lat.p50_ms(), 5.0);
   EXPECT_DOUBLE_EQ(lat.p99_ms(), 5.0);
-  EXPECT_EQ(pipeline::StageLatency{}.p99_ms(), 0.0);  // no samples
+  EXPECT_EQ(HistogramMetric::Snapshot{}.p99_ms(), 0.0);  // no samples
 }
 
-TEST(StageLatencyPercentiles, TracksExactOrderStatisticsWithinBinResolution) {
-  pipeline::StageLatency lat;
+TEST(HistogramPercentiles, TracksExactOrderStatisticsWithinBinResolution) {
+  HistogramMetric metric;
   std::vector<double> values;
   util::Rng rng(42);
   for (int i = 0; i < 2000; ++i) {
     const double ms = std::pow(10.0, rng.uniform(-1.0, 3.0));  // 0.1ms .. 1s
     values.push_back(ms);
-    lat.add(ms);
+    metric.observe(ms);
   }
+  const HistogramMetric::Snapshot lat = metric.snapshot();
   std::sort(values.begin(), values.end());
   // 10 bins per decade bounds the estimate within a factor of 10^0.1 (~26%)
   // of the exact order statistic; allow a whisker more for interpolation.
@@ -629,7 +616,7 @@ TEST_F(ObsCampaign, ColdFreeboardBuildEmitsNestedTrace) {
   EXPECT_NE(perfetto.find("\"name\":\"thread_name\""), std::string::npos);
 }
 
-TEST_F(ObsCampaign, ServiceSnapshotPassesLintAndMatchesLegacyMetrics) {
+TEST_F(ObsCampaign, ServiceSnapshotPassesLintAndMatchesServiceMetrics) {
   serve::ServiceConfig cfg;
   cfg.workers = 2;
   auto service = make_service(cfg);
@@ -652,10 +639,63 @@ TEST_F(ObsCampaign, ServiceSnapshotPassesLintAndMatchesLegacyMetrics) {
   EXPECT_NE(text.find("is2_serve_fast_hits_total 1"), std::string::npos);
   EXPECT_NE(text.find("is2_sched_dispatched_total{class=\"batch\"} 1"), std::string::npos);
   EXPECT_NE(text.find("is2_cache_hits_total{tier=\"ram\"} 1"), std::string::npos);
-  // The per-stage view survives the registry migration: the builder stages
-  // each saw exactly the one cold build.
-  EXPECT_EQ(m.inference.stats.count(), 1u);
+  // The builder stages each saw exactly the one cold build.
+  for (const auto& stage : m.builder) EXPECT_EQ(stage.stats.count(), 1u);
   EXPECT_EQ(m.total.stats.count(), 1u);
+  EXPECT_NE(text.find("is2_serve_stage_ms_count{stage=\"classify\"} 1"), std::string::npos);
+}
+
+/// Value of the counter/gauge (name, labels) in a snapshot; -1 when absent.
+double point_value(const obs::RegistrySnapshot& snap, const std::string& name,
+                   const obs::Labels& labels) {
+  for (const obs::MetricPoint& p : snap.points)
+    if (p.name == name && p.labels == labels) return p.value;
+  ADD_FAILURE() << "no point " << name;
+  return -1.0;
+}
+
+TEST_F(ObsCampaign, RegistryCacheCountersAreExactWithoutRefresh) {
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  auto service = make_service(cfg);
+
+  (void)service->submit(request(BeamId::Gt1r)).get();  // cold build
+  ASSERT_EQ(service->submit(request(BeamId::Gt1r)).get().source, serve::ServedFrom::ram);
+
+  // The raw registry, not obs_snapshot(): nothing has refreshed anything.
+  const obs::RegistrySnapshot snap = service->registry().snapshot();
+  const obs::Labels ram{{"tier", "ram"}};
+  EXPECT_EQ(point_value(snap, "is2_cache_hits_total", ram), 1.0);
+  EXPECT_GE(point_value(snap, "is2_cache_misses_total", ram), 1.0);
+  EXPECT_EQ(point_value(snap, "is2_cache_insertions_total", ram), 1.0);
+}
+
+TEST(ObsCacheTiers, DiskCacheCountsIntoRegistryAtTheEvent) {
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("is2_obs_disk_" + std::to_string(::getpid())))
+                              .string();
+  std::filesystem::remove_all(dir);
+  Registry reg;
+  serve::DiskCache disk(serve::DiskCacheConfig{dir, 1u << 20, &reg});
+  const ProductKey key{"g", BeamId::Gt1r, 7};
+  GranuleProduct product;
+  product.granule_id = key.granule_id;
+  product.segments.resize(4);
+  EXPECT_EQ(disk.get(key), nullptr);
+  disk.put(key, product);
+  ASSERT_NE(disk.get(key), nullptr);
+
+  // Read before any stats() call: the counters moved at the events.
+  const obs::RegistrySnapshot snap = reg.snapshot();
+  const obs::Labels tier{{"tier", "disk"}};
+  EXPECT_EQ(point_value(snap, "is2_cache_writes_total", tier), 1.0);
+  EXPECT_EQ(point_value(snap, "is2_cache_hits_total", tier), 1.0);
+  EXPECT_EQ(point_value(snap, "is2_cache_misses_total", tier), 1.0);
+  const serve::DiskCacheStats stats = disk.stats();
+  EXPECT_EQ(stats.writes, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "core/pipeline.hpp"
 #include "h5lite/granule_io.hpp"
 #include "label/drift.hpp"
+#include "pipeline/classifier.hpp"
 
 namespace {
 
@@ -122,9 +123,9 @@ TEST_F(TinyCampaign, TrainClassifyRoundTrip) {
   const auto metrics = model.evaluate(data.test);
   EXPECT_GT(metrics.accuracy, 0.85);
 
-  // classify_segments end-to-end on one beam.
-  const auto labels = core::classify_segments(model, data.scaler, labeled.labeled[0].features,
-                                              config_->sequence_window);
+  // classify_windows end-to-end on one beam.
+  const auto labels = pipeline::classify_windows(model, data.scaler, labeled.labeled[0].features,
+                                                 config_->sequence_window);
   ASSERT_EQ(labels.size(), labeled.labeled[0].segments.size());
   std::size_t agree = 0, known = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {

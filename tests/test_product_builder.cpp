@@ -292,9 +292,9 @@ TEST_F(BuilderCampaign, ClassifyWithoutBackendOnFreshArtifactsThrows) {
                std::logic_error);
 }
 
-TEST_F(BuilderCampaign, NnBackendMatchesDeprecatedClassifySegments) {
-  // The replica-pool backend and the deprecated free function are the same
-  // algorithm; predictions must agree exactly.
+TEST_F(BuilderCampaign, NnBackendMatchesClassifyWindows) {
+  // The replica-pool backend and the single-model free function are the
+  // same algorithm; predictions must agree exactly.
   pipeline::NnBackend backend = make_nn_backend();
   Artifacts art = gt1r_artifacts();
   builder_->run_until(art, StageId::features);
@@ -302,8 +302,8 @@ TEST_F(BuilderCampaign, NnBackendMatchesDeprecatedClassifySegments) {
   util::Rng rng(99);
   nn::Sequential model =
       nn::make_lstm_model(config_->sequence_window, resample::FeatureRow::kDim, rng);
-  const auto reference = core::classify_segments(model, *scaler_, art.features_out(),
-                                                 config_->sequence_window);
+  const auto reference = pipeline::classify_windows(model, *scaler_, art.features_out(),
+                                                    config_->sequence_window);
   EXPECT_EQ(backend.classify(art.features_out()), reference);
   EXPECT_GT(backend.windows(), 0u);
   EXPECT_GT(backend.batches(), 0u);
@@ -374,7 +374,7 @@ TEST_F(BuilderCampaign, BackendFingerprintsDistinguishIdentity) {
             pipeline::prefix_fingerprint(*config_, nasa, ProductKind::seasurface));
   EXPECT_NE(pipeline::prefix_fingerprint(fb_cfg, nasa, fb),
             pipeline::prefix_fingerprint(*config_, nasa, fb));
-  // The full-depth prefix is the (deprecated-wrapper-visible) config hash.
+  // The full-depth prefix is the config hash.
   EXPECT_EQ(pipeline::prefix_fingerprint(*config_, nasa, fb),
             pipeline::config_fingerprint(*config_, nasa));
 }
@@ -387,25 +387,6 @@ TEST_F(BuilderCampaign, ResumeRejectsNonParallelClasses) {
   EXPECT_THROW(Artifacts::resume(segments, short_classes), std::invalid_argument);
   // Empty classes = "not classified yet" stays legal.
   EXPECT_NO_THROW(Artifacts::resume(segments));
-}
-
-TEST_F(BuilderCampaign, BuilderMetricsAggregateTraces) {
-  // A fresh builder (metrics isolated from the shared fixture one).
-  ProductBuilder builder(*config_, campaign_->corrections());
-  pipeline::NnBackend backend = make_nn_backend();
-
-  Artifacts a = gt1r_artifacts();
-  builder.build(a, ProductKind::freeboard, &backend, seasurface::Method::NasaEquation);
-  Artifacts b = Artifacts::resume(a.segments, a.classes);
-  builder.build(b, ProductKind::freeboard, nullptr, seasurface::Method::NasaEquation);
-
-  EXPECT_EQ(builder.metrics().builds(), 2u);
-  const pipeline::StageSnapshot stages = builder.metrics().stages();
-  EXPECT_EQ(stages[static_cast<std::size_t>(StageId::preprocess)].stats.count(), 1u);
-  EXPECT_EQ(stages[static_cast<std::size_t>(StageId::classify)].stats.count(), 1u);
-  EXPECT_EQ(stages[static_cast<std::size_t>(StageId::seasurface)].stats.count(), 2u);
-  EXPECT_EQ(stages[static_cast<std::size_t>(StageId::freeboard)].stats.count(), 2u);
-  EXPECT_EQ(builder.metrics().build().stats.count(), 2u);
 }
 
 }  // namespace

@@ -38,7 +38,6 @@ namespace {
 using namespace is2;
 using atl03::BeamId;
 using atl03::SurfaceClass;
-using serve::BoundedQueue;
 using serve::DiskCache;
 using serve::GranuleProduct;
 using serve::Priority;
@@ -156,12 +155,12 @@ TEST(ConfigFingerprint, SensitiveToConfigAndMethod) {
   core::PipelineConfig changed = base;
   changed.sequence_window += 2;
   const auto nasa = seasurface::Method::NasaEquation;
-  EXPECT_NE(serve::config_fingerprint(base, nasa),
-            serve::config_fingerprint(changed, nasa));
-  EXPECT_NE(serve::config_fingerprint(base, nasa),
-            serve::config_fingerprint(base, seasurface::Method::MinElevation));
-  EXPECT_EQ(serve::config_fingerprint(base, nasa),
-            serve::config_fingerprint(core::PipelineConfig::tiny(), nasa));
+  EXPECT_NE(pipeline::config_fingerprint(base, nasa),
+            pipeline::config_fingerprint(changed, nasa));
+  EXPECT_NE(pipeline::config_fingerprint(base, nasa),
+            pipeline::config_fingerprint(base, seasurface::Method::MinElevation));
+  EXPECT_EQ(pipeline::config_fingerprint(base, nasa),
+            pipeline::config_fingerprint(core::PipelineConfig::tiny(), nasa));
 }
 
 // ---------------------------------------------------------------------------
@@ -384,47 +383,6 @@ TEST_F(DiskCacheTest, StartupScanDropsPartialAndStaleFiles) {
   auto got = reopened.get(key);
   ASSERT_NE(got, nullptr);
   expect_product_equal(*got, p);
-}
-
-// ---------------------------------------------------------------------------
-// BoundedQueue
-// ---------------------------------------------------------------------------
-
-TEST(BoundedQueue, FifoTryPushAndClose) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full
-  EXPECT_EQ(q.size(), 2u);
-
-  auto a = q.pop();
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(*a, 1);
-  EXPECT_TRUE(q.try_push(3));
-
-  q.close();
-  EXPECT_FALSE(q.try_push(4));
-  EXPECT_FALSE(q.push(4));
-  // Drains accepted items, then reports closed.
-  EXPECT_EQ(*q.pop(), 2);
-  EXPECT_EQ(*q.pop(), 3);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueue, BlockingPushResumesAfterPop) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread t([&] {
-    q.push(2);  // blocks until the pop below
-    pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(*q.pop(), 1);
-  t.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(*q.pop(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -906,7 +864,7 @@ class ServeCampaign : public ::testing::Test {
     out.granule_id = pair_->granule.id;
     out.beam = beam;
     out.classes =
-        core::classify_segments(model, *scaler_, features, config_->sequence_window);
+        pipeline::classify_windows(model, *scaler_, features, config_->sequence_window);
     out.sea_surface =
         seasurface::detect_sea_surface(segments, out.classes, method, config_->seasurface);
     out.freeboard =
@@ -978,12 +936,13 @@ TEST_F(ServeCampaign, ColdBuildLatencyRepresentableInStageHistograms) {
   ASSERT_NE(service->submit(request(BeamId::Gt1r)).get().product, nullptr);
 
   const auto m = service->metrics();
-  for (const auto* stage :
-       {&m.total, &m.load, &m.features, &m.inference, &m.seasurface, &m.freeboard}) {
+  std::vector<const obs::HistogramMetric::Snapshot*> stages = {&m.total, &m.load};
+  for (const auto& stage : m.builder) stages.push_back(&stage);
+  for (const auto* stage : stages) {
     if (stage->stats.count() == 0) continue;
     // p99 (here: the max) is representable, and the edge bins did not
     // swallow the distribution.
-    EXPECT_LT(stage->stats.max(), serve::StageLatency::kMaxMs);
+    EXPECT_LT(stage->stats.max(), obs::HistogramMetric::kMaxMs);
     EXPECT_EQ(stage->histogram.count(stage->histogram.bins() - 1), 0u);
     EXPECT_EQ(stage->histogram.total(), stage->stats.count());
   }
@@ -1009,7 +968,7 @@ TEST_F(ServeCampaign, ServedProductMatchesBatchPipelineBitIdentically) {
   const auto m = service->metrics();
   EXPECT_EQ(m.total.stats.count(), 1u);
   EXPECT_EQ(m.load.stats.count(), 1u);
-  EXPECT_EQ(m.inference.stats.count(), 1u);
+  for (const auto& stage : m.builder) EXPECT_EQ(stage.stats.count(), 1u);
   EXPECT_GT(m.inference_windows, 0u);
   EXPECT_GT(m.inference_batches, 1u);  // windows split into multiple batches
   EXPECT_EQ(m.total.histogram.total(), 1u);
@@ -1296,6 +1255,13 @@ TEST_F(ServeCampaign, DeeperKindResumesFromShallowerRamEntry) {
   EXPECT_EQ(m2.resumed_builds, 1u);
   EXPECT_EQ(m2.inference_windows, windows_after_cls);  // no inference re-ran
   EXPECT_EQ(m2.load.stats.count(), 1u);                // only the cls build loaded
+  // One sample per stage: the classification build ran preprocess through
+  // classify, the resumed build only seasurface + freeboard. Both builds
+  // count in `total`.
+  for (std::size_t s = 0; s < pipeline::kNumStages; ++s)
+    EXPECT_EQ(m2.builder[s].stats.count(), 1u)
+        << pipeline::stage_name(static_cast<pipeline::StageId>(s));
+  EXPECT_EQ(m2.total.stats.count(), 2u);
 
   // Bit-identical to the batch pipeline's full freeboard product.
   expect_bit_identical(*fb.product,
