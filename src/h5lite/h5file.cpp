@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <system_error>
 
 #include <unistd.h>
@@ -35,18 +36,50 @@ const char* dtype_name(DType t) {
   return "?";
 }
 
+namespace {
+
+// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+// kCrc[0] is the classic bytewise table, and kCrc[k][b] is the CRC of byte b
+// followed by k zero bytes, so eight table lookups advance the CRC by eight
+// bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}
+
+constexpr CrcTables kCrc = make_crc_tables();
+
+/// Little-endian 32-bit word from four bytes, whatever the host byte order
+/// or the pointer's alignment (compilers fold it into one load).
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+}  // namespace
+
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t b : data) crc = table[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^ kCrc[5][(lo >> 16) & 0xFFu] ^
+          kCrc[4][lo >> 24] ^ kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+          kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) crc = kCrc[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -106,6 +139,20 @@ constexpr std::uint32_t kVersion = 1;
 
 using Writer = ByteWriter;
 using Reader = ByteReader;
+
+/// A dataset header's byte count must equal its element count times the
+/// element size. The product is checked as it grows, so lying dims cannot
+/// wrap it into agreement with a small byte count.
+void check_dataset_bytes(const std::vector<std::uint64_t>& shape, DType dtype,
+                         std::uint64_t nbytes) {
+  std::uint64_t n = dtype_size(dtype);
+  for (const auto d : shape) {
+    if (d != 0 && n > std::numeric_limits<std::uint64_t>::max() / d)
+      throw H5Error("h5lite: dataset shape overflows");
+    n *= d;
+  }
+  if (nbytes != n) throw H5Error("h5lite: dataset size mismatch");
+}
 
 }  // namespace
 
@@ -191,7 +238,10 @@ File File::deserialize(std::span<const std::uint8_t> buffer) {
   const auto version = r.raw<std::uint32_t>();
   if (version != kVersion) throw H5Error("h5lite: unsupported version");
   const auto payload = r.raw<std::uint64_t>();
-  if (16 + payload + 4 > buffer.size()) throw H5Error("h5lite: truncated payload");
+  // Header (16) + payload + CRC (4), compared without `16 + payload + 4`,
+  // which a lying payload length can wrap past 2^64.
+  if (buffer.size() < 20 || payload > buffer.size() - 20)
+    throw H5Error("h5lite: truncated payload");
   const std::uint32_t want =
       crc32(buffer.subspan(16, static_cast<std::size_t>(payload)));
 
@@ -205,13 +255,12 @@ File File::deserialize(std::span<const std::uint8_t> buffer) {
     e.dtype = static_cast<DType>(dtype_raw);
     const auto ndim = r.raw<std::uint8_t>();
     e.shape.resize(ndim);
-    std::uint64_t n = 1;
-    for (auto& d : e.shape) {
-      d = r.raw<std::uint64_t>();
-      n *= d;
-    }
+    for (auto& d : e.shape) d = r.raw<std::uint64_t>();
     const auto nbytes = r.raw<std::uint64_t>();
-    if (nbytes != n * dtype_size(e.dtype)) throw H5Error("h5lite: dataset size mismatch");
+    check_dataset_bytes(e.shape, e.dtype, nbytes);
+    // Before the allocation: the length field must not claim more bytes
+    // than the buffer still holds.
+    if (nbytes > r.remaining()) throw H5Error("h5lite: truncated file");
     e.bytes.resize(static_cast<std::size_t>(nbytes));
     r.bytes(e.bytes.data(), e.bytes.size());
     f.datasets_[path] = std::move(e);
@@ -308,8 +357,7 @@ FileMeta File::scan(const std::string& filename) {
     info.shape.resize(ndim);
     for (auto& d : info.shape) d = r.raw<std::uint64_t>();
     info.nbytes = r.raw<std::uint64_t>();
-    if (info.nbytes != info.count() * dtype_size(info.dtype))
-      throw H5Error("h5lite: dataset size mismatch");
+    check_dataset_bytes(info.shape, info.dtype, info.nbytes);
     r.skip(info.nbytes);  // the point of scan: never touch the payload
     meta.datasets[path] = std::move(info);
   }

@@ -153,7 +153,9 @@ class File {
   std::map<std::string, AttrValue> attrs_;
 };
 
-/// CRC-32 (IEEE 802.3) used for file integrity.
+/// CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, initial value and
+/// final XOR 0xFFFFFFFF) used for file integrity. Computed by slicing-by-8,
+/// eight bytes per step; the values are those of the bytewise definition.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 // ---------------------------------------------------------------------------
@@ -184,6 +186,8 @@ class ByteWriter {
 
 /// Bounds-checked sequential reader over an in-memory buffer; every read
 /// past the end throws H5Error("truncated ...") instead of reading garbage.
+/// Each check compares the requested length with remaining(), which cannot
+/// wrap, so a length field read from the buffer may hold any value.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> b) : buf_(b) {}
@@ -191,20 +195,20 @@ class ByteReader {
   template <typename T>
   T raw() {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (pos_ + sizeof(T) > buf_.size()) throw H5Error("h5lite: truncated file");
+    if (sizeof(T) > remaining()) throw H5Error("h5lite: truncated file");
     T v;
     std::memcpy(&v, buf_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
   }
   void bytes(std::uint8_t* p, std::size_t n) {
-    if (pos_ + n > buf_.size()) throw H5Error("h5lite: truncated file");
+    if (n > remaining()) throw H5Error("h5lite: truncated file");
     std::memcpy(p, buf_.data() + pos_, n);
     pos_ += n;
   }
   std::string str() {
     const auto n = raw<std::uint32_t>();
-    if (pos_ + n > buf_.size()) throw H5Error("h5lite: truncated string");
+    if (n > remaining()) throw H5Error("h5lite: truncated string");
     std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
     pos_ += n;
     return s;

@@ -1,29 +1,30 @@
 #include "resample/fpb.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
+#include <map>
+#include <tuple>
 #include <utility>
 
+#include "util/mutex.hpp"
 #include "util/rng.hpp"
 
 namespace is2::resample {
 
-FirstPhotonBiasCorrector::FirstPhotonBiasCorrector(double dead_time_m, int channels,
-                                                   std::uint64_t seed)
-    : dead_time_m_(dead_time_m), channels_(std::max(channels, 1)) {
-  for (double r = 0.25; r <= 10.01; r += 0.75) rate_grid_.push_back(r);
-  for (double s = 0.01; s <= 0.2501; s += 0.03) sigma_grid_.push_back(s);
-  table_.resize(rate_grid_.size() * sigma_grid_.size());
-  for (std::size_t i = 0; i < rate_grid_.size(); ++i)
-    for (std::size_t j = 0; j < sigma_grid_.size(); ++j)
-      table_[i * sigma_grid_.size() + j] =
-          calibrate_cell(rate_grid_[i], sigma_grid_[j],
-                         seed ^ (i * 0x9E3779B9ull) ^ (j * 0x85EBCA6Bull));
-}
+struct FirstPhotonBiasCorrector::Table {
+  std::vector<double> rate_grid;
+  std::vector<double> sigma_grid;
+  std::vector<double> values;  // [rate][sigma], row-major
+};
 
-double FirstPhotonBiasCorrector::calibrate_cell(double rate, double sigma,
-                                                std::uint64_t seed) const {
+namespace {
+
+using Table = FirstPhotonBiasCorrector::Table;
+
+double calibrate_cell(double dead_time_m, int channels, double rate, double sigma,
+                      std::uint64_t seed) {
   // Monte-Carlo: the expectation of the mean *recorded* height when the true
   // surface is at 0 and the detector applies the dead-time rule.
   util::Rng rng(util::hash64(seed));
@@ -31,8 +32,8 @@ double FirstPhotonBiasCorrector::calibrate_cell(double rate, double sigma,
   double sum = 0.0;
   std::size_t count = 0;
   std::vector<double> shot;
-  std::vector<double> blind_until(static_cast<std::size_t>(channels_));
-  std::vector<bool> blind(static_cast<std::size_t>(channels_));
+  std::vector<double> blind_until(static_cast<std::size_t>(channels));
+  std::vector<bool> blind(static_cast<std::size_t>(channels));
   for (int k = 0; k < kShots; ++k) {
     const int n = rng.poisson(rate);
     if (n == 0) continue;
@@ -42,10 +43,10 @@ double FirstPhotonBiasCorrector::calibrate_cell(double rate, double sigma,
     std::fill(blind.begin(), blind.end(), false);
     for (double h : shot) {
       const auto ch = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(channels_) - 1));
+          rng.uniform_int(0, static_cast<std::int64_t>(channels) - 1));
       if (blind[ch] && h > blind_until[ch]) continue;
       blind[ch] = true;
-      blind_until[ch] = h - dead_time_m_;
+      blind_until[ch] = h - dead_time_m;
       sum += h;
       ++count;
     }
@@ -53,12 +54,59 @@ double FirstPhotonBiasCorrector::calibrate_cell(double rate, double sigma,
   return count ? sum / static_cast<double>(count) : 0.0;
 }
 
+Table calibrate(double dead_time_m, int channels, std::uint64_t seed) {
+  Table t;
+  for (double r = 0.25; r <= 10.01; r += 0.75) t.rate_grid.push_back(r);
+  for (double s = 0.01; s <= 0.2501; s += 0.03) t.sigma_grid.push_back(s);
+  t.values.resize(t.rate_grid.size() * t.sigma_grid.size());
+  for (std::size_t i = 0; i < t.rate_grid.size(); ++i)
+    for (std::size_t j = 0; j < t.sigma_grid.size(); ++j)
+      t.values[i * t.sigma_grid.size() + j] =
+          calibrate_cell(dead_time_m, channels, t.rate_grid[i], t.sigma_grid[j],
+                         seed ^ (i * 0x9E3779B9ull) ^ (j * 0x85EBCA6Bull));
+  return t;
+}
+
+/// Process-wide tables by (dead_time_m bits, clamped channels, seed). The
+/// dead time is keyed by its bit pattern so every double, NaN included, has a
+/// well-ordered key. Calibration runs with the lock held: a key is
+/// calibrated at most once per process, and a thread that asks for a key
+/// being calibrated waits for that table instead of computing its own.
+struct Registry {
+  using Key = std::tuple<std::uint64_t, int, std::uint64_t>;
+
+  util::Mutex mutex;
+  std::map<Key, std::shared_ptr<const Table>> tables GUARDED_BY(mutex);
+
+  std::shared_ptr<const Table> get(double dead_time_m, int channels, std::uint64_t seed) {
+    const Key key{std::bit_cast<std::uint64_t>(dead_time_m), channels, seed};
+    util::MutexLock lock(mutex);
+    auto& slot = tables[key];
+    if (!slot) slot = std::make_shared<Table>(calibrate(dead_time_m, channels, seed));
+    return slot;
+  }
+};
+
+Registry& registry() {
+  static Registry r;
+  return r;
+}
+
+}  // namespace
+
+FirstPhotonBiasCorrector::FirstPhotonBiasCorrector(double dead_time_m, int channels,
+                                                   std::uint64_t seed)
+    : dead_time_m_(dead_time_m),
+      channels_(std::max(channels, 1)),
+      table_(registry().get(dead_time_m_, channels_, seed)) {}
+
 double FirstPhotonBiasCorrector::bias(double rate_per_shot, double sigma_m) const {
+  const Table& t = *table_;
   const auto clampi = [](double v, const std::vector<double>& grid) {
     return std::clamp(v, grid.front(), grid.back());
   };
-  const double r = clampi(rate_per_shot, rate_grid_);
-  const double s = clampi(sigma_m, sigma_grid_);
+  const double r = clampi(rate_per_shot, t.rate_grid);
+  const double s = clampi(sigma_m, t.sigma_grid);
 
   const auto cell = [](double v, const std::vector<double>& grid) {
     auto it = std::upper_bound(grid.begin(), grid.end(), v);
@@ -68,13 +116,13 @@ double FirstPhotonBiasCorrector::bias(double rate_per_shot, double sigma_m) cons
     const double w = (v - grid[lo]) / (grid[hi] - grid[lo]);
     return std::pair<std::size_t, double>(lo, w);
   };
-  const auto [ri, rw] = cell(r, rate_grid_);
-  const auto [si, sw] = cell(s, sigma_grid_);
-  const std::size_t ns = sigma_grid_.size();
-  const double v00 = table_[ri * ns + si];
-  const double v10 = table_[(ri + 1) * ns + si];
-  const double v01 = table_[ri * ns + si + 1];
-  const double v11 = table_[(ri + 1) * ns + si + 1];
+  const auto [ri, rw] = cell(r, t.rate_grid);
+  const auto [si, sw] = cell(s, t.sigma_grid);
+  const std::size_t ns = t.sigma_grid.size();
+  const double v00 = t.values[ri * ns + si];
+  const double v10 = t.values[(ri + 1) * ns + si];
+  const double v01 = t.values[ri * ns + si + 1];
+  const double v11 = t.values[(ri + 1) * ns + si + 1];
   const double top = v00 * (1.0 - rw) + v10 * rw;
   const double bot = v01 * (1.0 - rw) + v11 * rw;
   return top * (1.0 - sw) + bot * sw;

@@ -8,9 +8,23 @@
 // simulation of the same dead-time model the photon simulator applies, then
 // corrects segment means via bilinear interpolation of the (rate, sigma)
 // bias table.
+//
+// The calibration is shared per process. The table is a pure function of
+// (dead_time_m, channels after clamping to >= 1, seed), so the first
+// construction for a key runs the Monte-Carlo (126 table cells x 4000
+// simulated shots) and stores the table; every later construction with the
+// same key, and every copy, shares that one immutable table for the rest of
+// the process. Values are bit for bit those a fresh calibration would give.
+//
+// Threading contract: constructing correctors is thread-safe — concurrent
+// first constructions of one key calibrate it once and the others wait for
+// that table; distinct keys calibrate one at a time. A constructed corrector
+// holds no mutable state, so bias() and apply() may run on any number of
+// threads at once.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "resample/segmenter.hpp"
@@ -36,14 +50,13 @@ class FirstPhotonBiasCorrector {
   double dead_time_m() const { return dead_time_m_; }
   int channels() const { return channels_; }
 
- private:
-  double calibrate_cell(double rate, double sigma, std::uint64_t seed) const;
+  /// The calibrated (rate, sigma) grid and bias values, immutable once built.
+  struct Table;
 
+ private:
   double dead_time_m_;
   int channels_;
-  std::vector<double> rate_grid_;
-  std::vector<double> sigma_grid_;
-  std::vector<double> table_;  // [rate][sigma], row-major
+  std::shared_ptr<const Table> table_;
 };
 
 }  // namespace is2::resample

@@ -2,9 +2,14 @@
 // corruption detection (checksum / truncation / bad magic).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <string_view>
 
 #include "h5lite/h5file.hpp"
 
@@ -14,6 +19,46 @@ using namespace is2::h5;
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// The bytewise CRC-32 definition crc32 must agree with (reflected
+/// polynomial 0xEDB88320, initial value and final XOR 0xFFFFFFFF).
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+/// A well-formed h5lite buffer (valid header and CRC) holding one dataset
+/// header with the given dims and byte count and no payload bytes at all:
+/// only the length checks stand between its claims and the reader.
+std::vector<std::uint8_t> one_dataset_claiming(DType dtype, const std::vector<std::uint64_t>& dims,
+                                               std::uint64_t nbytes) {
+  ByteWriter body;
+  body.raw(std::uint32_t{1});  // one dataset
+  body.str("/claim");
+  body.raw(static_cast<std::uint8_t>(dtype));
+  body.raw(static_cast<std::uint8_t>(dims.size()));
+  for (const auto d : dims) body.raw(d);
+  body.raw(nbytes);
+  body.raw(std::uint32_t{0});  // no attributes
+  ByteWriter out;
+  out.bytes(reinterpret_cast<const std::uint8_t*>("H5LT"), 4);
+  out.raw(std::uint32_t{1});  // version
+  out.raw(static_cast<std::uint64_t>(body.buf.size()));
+  out.bytes(body.buf.data(), body.buf.size());
+  out.raw(crc32(body.buf));
+  return out.buf;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 gen(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(gen());
+  return out;
 }
 
 TEST(H5Lite, RoundTripAllDtypes) {
@@ -108,6 +153,56 @@ TEST(H5Lite, BadMagicRejected) {
   auto buf = f.serialize();
   buf[0] = 'X';
   EXPECT_THROW(File::deserialize(buf), H5Error);
+}
+
+TEST(H5Lite, Crc32CheckValues) {
+  const std::string_view check = "123456789";
+  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(check.data()), check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(H5Lite, Crc32MatchesBytewiseReference) {
+  // Every length 0-64 at every start offset 0-7 covers each word-loop count,
+  // each tail length and each alignment; one ~2 MB buffer covers bulk data.
+  const auto bytes = random_bytes(64 + 8, 7);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> s(bytes.data() + offset, len);
+      EXPECT_EQ(crc32(s), crc32_bytewise(s)) << "offset " << offset << " length " << len;
+    }
+  const auto big = random_bytes((2u << 20) + 5, 11);
+  EXPECT_EQ(crc32(big), crc32_bytewise(big));
+}
+
+TEST(H5Lite, WrappedPayloadLengthRejected) {
+  // 16 + payload + 4 wraps to 9 for this payload length; the check must not
+  // let the CRC pass read 2^64 - 11 bytes past a short buffer.
+  File f;
+  f.put<double>("/data", std::vector<double>{1.0, 2.0});
+  auto buf = f.serialize();
+  const std::uint64_t lie = std::numeric_limits<std::uint64_t>::max() - 10;
+  std::memcpy(buf.data() + 8, &lie, sizeof(lie));  // header: magic, version, payload
+  EXPECT_THROW(File::deserialize(buf), H5Error);
+}
+
+TEST(H5Lite, DatasetLongerThanBufferRejectedBeforeAllocation) {
+  // A u8 dataset whose shape and byte count agree on 2^62 bytes in a buffer
+  // of a few dozen: the length must be checked before any allocation.
+  constexpr std::uint64_t kClaimed = std::uint64_t{1} << 62;
+  EXPECT_THROW(File::deserialize(one_dataset_claiming(DType::U8, {kClaimed}, kClaimed)), H5Error);
+}
+
+TEST(H5Lite, WrappingShapeProductRejected) {
+  // 2^32 x 2^32 elements wrap to 0, which used to agree with a byte count of
+  // 0 and yield a dataset whose shape promises 2^64 elements it lacks.
+  const std::string path = temp_path("is2_h5lite_wrapping_shape.h5l");
+  constexpr std::uint64_t kDim = std::uint64_t{1} << 32;
+  const auto buf = one_dataset_claiming(DType::U8, {kDim, kDim}, 0);
+  EXPECT_THROW(File::deserialize(buf), H5Error);
+  write_file_atomic(path, buf);
+  EXPECT_THROW(File::scan(path), H5Error);
+  std::remove(path.c_str());
 }
 
 TEST(H5Lite, DiskRoundTrip) {

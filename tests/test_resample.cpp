@@ -1,7 +1,11 @@
 // 2m resampler, feature construction, scaler and first-photon-bias tests.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <latch>
+#include <thread>
 
 #include "atl03/photon_sim.hpp"
 #include "atl03/preprocess.hpp"
@@ -247,6 +251,84 @@ TEST(Fpb, ApplyShiftsSegmentHeightsDown) {
   resample::FirstPhotonBiasCorrector{fpb}.apply(segs);
   EXPECT_LT(segs[0].h_mean, 1.0);
   EXPECT_DOUBLE_EQ(segs[0].h_mean, segs[0].h_median);
+}
+
+// bias() at four (rate, sigma) points — a grid corner, an interior cell, a
+// point between cells and the clamped far corner — as hex doubles, recorded
+// when every corrector still calibrated its own table. Equal bits show the
+// shared table is the one a fresh calibration gives.
+struct PinnedBias {
+  int channels;
+  std::uint64_t seed;
+  std::array<double, 4> bias;
+};
+constexpr std::array<std::array<double, 2>, 4> kPinnedPoints{
+    {{0.25, 0.01}, {3.7, 0.05}, {5.0, 0.2}, {10.0, 0.25}}};
+constexpr PinnedBias kPinned[] = {
+    {1, 0xF1B5,
+     {0x1.445d81b26fcafp-11, 0x1.6b1d806f71104p-5, 0x1.2f88eeffdd35p-4, 0x1.4727a3f3e20b8p-4}},
+    {2, 0xF1B5,
+     {0x1.2fb07e96131cfp-12, 0x1.9efefabf2c332p-6, 0x1.0355a7e49bb46p-4, 0x1.0f0ac62347aadp-4}},
+    {16, 0xF1B5,
+     {-0x1.3e6163b085d36p-15, 0x1.c4b38c0e9819bp-9, 0x1.aa9ae359db5bap-7, 0x1.65a28bee2f9f2p-6}},
+};
+// Built by ConcurrentConstructionsGetPinnedValues alone, so its threads race
+// over the key's first calibration.
+constexpr PinnedBias kPinnedRaced{
+    16, 0xF1B6,
+    {-0x1.6e638f4d34abfp-17, 0x1.d425640f47e48p-9, 0x1.8a4b672259952p-7, 0x1.6c7514e6038e4p-6}};
+
+void expect_pinned(const resample::FirstPhotonBiasCorrector& fpb, const PinnedBias& want) {
+  for (std::size_t k = 0; k < kPinnedPoints.size(); ++k)
+    EXPECT_EQ(fpb.bias(kPinnedPoints[k][0], kPinnedPoints[k][1]), want.bias[k])
+        << "channels " << want.channels << " seed " << want.seed << " point " << k;
+}
+
+TEST(Fpb, SharedCalibrationMatchesPinnedValues) {
+  for (const auto& want : kPinned) {
+    expect_pinned(resample::FirstPhotonBiasCorrector(0.45, want.channels, want.seed), want);
+    // A second construction and a copy read the same table.
+    const resample::FirstPhotonBiasCorrector again(0.45, want.channels, want.seed);
+    expect_pinned(resample::FirstPhotonBiasCorrector{again}, want);
+  }
+  // Channel counts clamp to 1 before keying the table.
+  const resample::FirstPhotonBiasCorrector zero(0.45, 0);
+  EXPECT_EQ(zero.channels(), 1);
+  expect_pinned(zero, kPinned[0]);
+}
+
+TEST(Fpb, ConcurrentConstructionsGetPinnedValues) {
+  // Eight threads construct one key at once: the first calibrates and the
+  // others wait for its table.
+  constexpr int kThreads = 8;
+  const PinnedBias& want = kPinnedRaced;
+  std::latch start(kThreads);
+  std::vector<std::array<double, 4>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      const resample::FirstPhotonBiasCorrector fpb(0.45, want.channels, want.seed);
+      for (std::size_t k = 0; k < kPinnedPoints.size(); ++k)
+        got[static_cast<std::size_t>(i)][k] = fpb.bias(kPinnedPoints[k][0], kPinnedPoints[k][1]);
+    });
+  for (auto& t : threads) t.join();
+  for (const auto& g : got) EXPECT_EQ(g, want.bias);
+}
+
+TEST(Fpb, TableKeyCoversDeadTimeChannelsAndSeed) {
+  // Correctors that differ in one input only must not share a table.
+  const resample::FirstPhotonBiasCorrector base(0.45, 16, 0xF1B5);
+  const resample::FirstPhotonBiasCorrector other_seed(0.45, 16, 0xF1B7);
+  const resample::FirstPhotonBiasCorrector other_channels(0.45, 15, 0xF1B5);
+  const resample::FirstPhotonBiasCorrector other_dead_time(0.15, 16, 0xF1B5);
+  for (const auto& [rate, sigma] : kPinnedPoints) {
+    EXPECT_NE(base.bias(rate, sigma), other_seed.bias(rate, sigma));
+    EXPECT_NE(base.bias(rate, sigma), other_channels.bias(rate, sigma));
+  }
+  // Both dead times exceed a narrow return's spread, so only a wide one
+  // tells them apart.
+  EXPECT_NE(base.bias(10.0, 0.25), other_dead_time.bias(10.0, 0.25));
 }
 
 TEST(Fpb, EndToEndBiasReduction) {
