@@ -1,6 +1,6 @@
 // Serving throughput bench: QPS and p50/p99 latency of the GranuleService
-// under cold (every request builds) and warm (every request hits the LRU
-// product cache) traffic, across worker counts, plus a cache-size sweep
+// under cold (every request builds from the shards) and warm (every request
+// hits the LRU product cache) traffic, across worker counts, plus a cache-size sweep
 // under repeat traffic with evictions, a cache-tier sweep (full rebuild vs
 // warm-disk cold start vs warm-RAM), a priority-mix run under a saturated
 // queue (per-class sheds + latency), and the cluster SLO sweep: a 3-node
@@ -20,6 +20,8 @@
 // span ring as a Perfetto-loadable trace (`<stem>.trace.json`).
 //
 // Tripwires (exit 1):
+//  * no build of the cold passes and the full-rebuild pass may resume from a
+//    cached product — those rows document from-shards builds;
 //  * the warm-disk cold start must be >= 5x faster than a full rebuild on
 //    the tiny scenario — the reason the disk tier exists;
 //  * full-rate tracing must not slow the warm RAM-hit path by more than 2%
@@ -69,7 +71,7 @@ struct WorkerRow {
   std::size_t workers = 0;
   double cold_qps = 0, cold_p50 = 0, cold_p99 = 0;
   double warm_qps = 0, warm_p50 = 0, warm_p99 = 0;
-  serve::ServiceMetrics metrics;
+  serve::ServiceMetrics metrics;  ///< read after the cold pass: cold builds only
 };
 
 struct SweepRow {
@@ -168,8 +170,8 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
         << ", \"mean_ms\": " << s.stats.mean() << ", \"max_ms\": " << s.stats.max() << "}"
         << (last ? "\n" : ",\n");
   };
-  // The queue-wait vs service-time split of the highest worker-count run
-  // (scheduled jobs only) — the two columns tools/bench_trend.py trends.
+  // The queue-wait vs service-time split of the highest worker-count run's
+  // cold pass (scheduled jobs only) — the two columns tools/bench_trend.py trends.
   const Latency& qw = rows.back().metrics.queue_wait;
   const Latency& st = rows.back().metrics.service_time;
   out << "{\n  \"scenario\": \"tiny\",\n"
@@ -199,7 +201,7 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
     out << "    }}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   // Raw per-stage ProductBuilder timings (the seven stage-graph stages) from
-  // the highest worker-count run — what tools/bench_trend.py trends.
+  // the highest worker-count run's cold pass — what tools/bench_trend.py trends.
   out << "  ],\n  \"builder_stages\": {\n";
   if (!rows.empty()) {
     const auto& builder = rows.back().metrics.builder;
@@ -298,6 +300,18 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(dir);
   core::ShardSet shards;
   core::write_shards(pair.granule, 0, /*chunks_per_beam=*/2, dir, shards);
+  // One copy of the granule per sea-surface method, for the cold universe
+  // (the pair index keeps the copies' shard files apart).
+  const auto copy_id = [&pair](seasurface::Method method) {
+    return pair.granule.id + "_m" + std::to_string(static_cast<int>(method));
+  };
+  {
+    atl03::Granule copy = pair.granule;
+    for (std::size_t m = 0; m < seasurface::kMethods; ++m) {
+      copy.id = copy_id(static_cast<seasurface::Method>(m));
+      core::write_shards(copy, 1 + m, /*chunks_per_beam=*/2, dir, shards);
+    }
+  }
   const serve::ShardIndex index = serve::ShardIndex::build(shards.files);
 
   // Scaler fit on the first beam's features (as the batch pipeline would).
@@ -317,7 +331,13 @@ int main(int argc, char** argv) {
   };
 
   // The request universe: every strong beam x every sea surface method.
+  // The cold universe runs the same 12 builds, each method on its own copy
+  // of the granule: no two of its requests share a granule and beam, so
+  // none has a sibling product to resume from, whatever the caches hold —
+  // every one builds from the shards, as the cold and full-rebuild rows
+  // document.
   std::vector<serve::ProductRequest> universe;
+  std::vector<serve::ProductRequest> cold_universe;
   for (const BeamId beam : {BeamId::Gt1r, BeamId::Gt2r, BeamId::Gt3r})
     for (const auto method :
          {seasurface::Method::NasaEquation, seasurface::Method::MinElevation,
@@ -327,7 +347,12 @@ int main(int argc, char** argv) {
       r.beam = beam;
       r.method = method;
       universe.push_back(r);
+      r.granule_id = copy_id(method);
+      cold_universe.push_back(r);
     }
+  // Resumed builds in the passes documented as every-request-builds (the
+  // cold rows and the full rebuild): must stay 0.
+  std::uint64_t cold_resumed = 0;
 
   const std::size_t warm_requests = 500;
   util::Rng traffic_rng(7);
@@ -353,7 +378,10 @@ int main(int argc, char** argv) {
     serve::GranuleService service(cfg, config, campaign.corrections(), index, model_factory,
                                   scaler);
 
-    const TrafficResult cold = drive(service, universe, workers);
+    const TrafficResult cold = drive(service, cold_universe, workers);
+    const serve::ServiceMetrics cold_metrics = service.metrics();  // cold builds only
+    cold_resumed += cold_metrics.resumed_builds;
+    (void)drive(service, universe, workers);  // untimed: fill the RAM tier
     const TrafficResult warm = drive(service, warm_traffic, workers > 1 ? workers * 2 : 2);
     const double speedup = warm.qps() / (cold.qps() > 0 ? cold.qps() : 1e-9);
 
@@ -367,14 +395,16 @@ int main(int argc, char** argv) {
 
     const auto m = service.metrics();
     worker_rows.push_back(WorkerRow{workers, cold.qps(), cold.p50(), cold.p99(), warm.qps(),
-                                    warm.p50(), warm.p99(), m});
+                                    warm.p50(), warm.p99(), cold_metrics});
     // Keep the last (widest) run's exposition + trace for the CI artifacts.
     prom_text = obs::to_prometheus(service.obs_snapshot());
     perfetto_text = obs::to_perfetto(service.trace_spans(), obs::thread_labels());
     std::printf(
-        "workers=%zu  dispatched=%llu coalesced=%llu fast_hits=%llu  cache: %llu hits / %llu "
-        "misses, %zu entries, %.1f MiB  inference: %llu windows in %llu batches\n",
+        "workers=%zu  dispatched=%llu (resumed %llu) coalesced=%llu fast_hits=%llu  cache: "
+        "%llu hits / %llu misses, %zu entries, %.1f MiB  inference: %llu windows in %llu "
+        "batches\n",
         workers, static_cast<unsigned long long>(m.scheduler.dispatched),
+        static_cast<unsigned long long>(m.resumed_builds),
         static_cast<unsigned long long>(m.scheduler.coalesced),
         static_cast<unsigned long long>(m.fast_hits),
         static_cast<unsigned long long>(m.cache.hits),
@@ -425,11 +455,11 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", sweep.to_string().c_str());
 
-  // Cache-tier sweep: the same 12-product universe served three ways. The
-  // first service populates the disk tier while building cold; a fresh
-  // service over the same directory then cold-starts from disk (RAM empty);
-  // repeats hit RAM. This is the restart / eviction recovery path the disk
-  // tier exists for.
+  // Cache-tier sweep: the same 12 products served three ways. A service
+  // without a disk tier times the full rebuild over the cold universe; an
+  // untimed pass populates the disk tier; a fresh service over the same
+  // directory then cold-starts from disk (RAM empty); repeats hit RAM. This
+  // is the restart / eviction recovery path the disk tier exists for.
   std::printf("== cache-tier sweep (2 workers, %zu distinct products) ==\n", universe.size());
   TierSweep tiers;
   const std::string disk_dir = dir + "/disk_tier";
@@ -437,14 +467,20 @@ int main(int argc, char** argv) {
     serve::ServiceConfig cfg;
     cfg.workers = 2;
     cfg.cache_bytes = 512u << 20;
-    cfg.disk_cache_dir = disk_dir;
     {
       serve::GranuleService rebuild_svc(cfg, config, campaign.corrections(), index,
                                         model_factory, scaler);
-      const TrafficResult rebuild = drive(rebuild_svc, universe, 2);
+      const TrafficResult rebuild = drive(rebuild_svc, cold_universe, 2);
       tiers.rebuild_mean_ms = rebuild.mean();
       tiers.rebuild_p99_ms = rebuild.p99();
-      rebuild_svc.wait_disk_writebacks();  // every product lands on disk
+      cold_resumed += rebuild_svc.metrics().resumed_builds;
+    }
+    cfg.disk_cache_dir = disk_dir;
+    {
+      serve::GranuleService fill_svc(cfg, config, campaign.corrections(), index, model_factory,
+                                     scaler);
+      (void)drive(fill_svc, universe, 2);  // untimed
+      fill_svc.wait_disk_writebacks();     // every product lands on disk
     }
     serve::GranuleService warm_svc(cfg, config, campaign.corrections(), index, model_factory,
                                    scaler);
@@ -741,6 +777,16 @@ int main(int argc, char** argv) {
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+
+  // Tripwire: the cold and full-rebuild rows must time from-shards builds.
+  if (cold_resumed > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu builds of the cold / full-rebuild passes resumed from a cached "
+                 "product — those rows no longer time from-shards builds\n",
+                 static_cast<unsigned long long>(cold_resumed));
+    return 1;
+  }
+  std::printf("cold and full-rebuild passes: every request built from the shards\n");
 
   // Tripwire: the disk tier must keep paying for itself.
   if (tiers.disk_speedup() < 5.0) {

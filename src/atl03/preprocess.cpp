@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
+#include <span>
 
 #include "geo/polar_stereo.hpp"
 #include "util/stats.hpp"
@@ -70,22 +70,33 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
 
   // Reject ineffective reference photons: compare each photon to the median
   // height of its along-track bin (binned median = robust local surface).
+  // The photons are sorted, so each occupied bin is one contiguous run;
+  // memory is per run, not per bin of the along-track span, which a gap
+  // can make arbitrarily long.
   const double s0 = out.s.front();
-  const auto n_bins =
-      static_cast<std::size_t>((out.s.back() - s0) / config.outlier_bin_m) + 1;
-  std::vector<std::vector<double>> bins(n_bins);
-  for (std::size_t i = 0; i < out.s.size(); ++i)
-    bins[static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m)].push_back(out.h[i]);
-  std::vector<double> bin_median(n_bins, 0.0);
-  for (std::size_t b = 0; b < n_bins; ++b)
-    bin_median[b] = bins[b].empty() ? std::numeric_limits<double>::quiet_NaN()
-                                    : util::median(bins[b]);
-  // Fill empty bins from the nearest non-empty neighbour.
-  for (std::size_t b = 0; b < n_bins; ++b) {
-    if (!std::isnan(bin_median[b])) continue;
-    for (std::size_t d = 1; d < n_bins; ++d) {
-      if (b >= d && !std::isnan(bin_median[b - d])) { bin_median[b] = bin_median[b - d]; break; }
-      if (b + d < n_bins && !std::isnan(bin_median[b + d])) { bin_median[b] = bin_median[b + d]; break; }
+  const auto bin_of = [&](std::size_t i) {
+    return static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m);
+  };
+  std::vector<std::size_t> run_end;  // one past each run's last photon
+  std::vector<double> run_median;
+  for (std::size_t i = 0; i < out.s.size();) {
+    const std::size_t bin = bin_of(i);
+    std::size_t j = i + 1;
+    while (j < out.s.size() && bin_of(j) == bin) ++j;
+    run_end.push_back(j);
+    run_median.push_back(util::median(std::span<const double>(out.h).subspan(i, j - i)));
+    i = j;
+  }
+  // A NaN median (NaN heights) takes the last non-NaN median to its left,
+  // else the first one to its right. Empty bins carry no median, so this is
+  // the nearest-neighbour fill over bins.
+  const auto first_valid = std::find_if(run_median.begin(), run_median.end(),
+                                        [](double m) { return !std::isnan(m); });
+  if (first_valid != run_median.end()) {
+    double carry = *first_valid;
+    for (double& m : run_median) {
+      if (std::isnan(m)) m = carry;
+      carry = m;
     }
   }
 
@@ -94,9 +105,9 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
   filtered.track_origin = out.track_origin;
   filtered.track_heading = out.track_heading;
   filtered.epoch_time = out.epoch_time;
-  for (std::size_t i = 0; i < out.s.size(); ++i) {
-    const auto b = static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m);
-    if (std::abs(out.h[i] - bin_median[b]) > config.outlier_threshold_m) continue;
+  for (std::size_t i = 0, r = 0; i < out.s.size(); ++i) {
+    if (i == run_end[r]) ++r;
+    if (std::abs(out.h[i] - run_median[r]) > config.outlier_threshold_m) continue;
     filtered.s.push_back(out.s[i]);
     filtered.h.push_back(out.h[i]);
     filtered.t.push_back(out.t[i]);

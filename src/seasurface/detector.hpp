@@ -14,6 +14,7 @@
 // profile h_ref(s) used by the freeboard stage.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +29,10 @@ enum class Method : std::uint8_t {
   NearestMinElevation = 2,
   NasaEquation = 3,
 };
+
+/// Number of `Method` values (they run 0 .. kMethods - 1).
+inline constexpr std::size_t kMethods = 4;
+static_assert(static_cast<std::size_t>(Method::NasaEquation) + 1 == kMethods);
 
 const char* method_name(Method m);
 

@@ -9,6 +9,7 @@
 
 #include "atl03/preprocess.hpp"
 #include "h5lite/granule_io.hpp"
+#include "seasurface/detector.hpp"
 #include "util/backoff.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -161,8 +162,11 @@ GranuleService::GranuleService(const ServiceConfig& config,
                                         "answered from RAM cache without dispatch");
   writeback_failures_total_ = &registry_.counter("is2_serve_writeback_failures_total", {},
                                                  "async disk writes that threw");
-  resumed_builds_total_ = &registry_.counter("is2_serve_resumed_builds_total", {},
-                                             "builds seeded from a shallower kind");
+  const char* resumed_help = "builds seeded from a cached product instead of the shards";
+  resumed_shallower_total_ = &registry_.counter("is2_serve_resumed_builds_total",
+                                                {{"seed", "shallower"}}, resumed_help);
+  resumed_sibling_total_ = &registry_.counter("is2_serve_resumed_builds_total",
+                                              {{"seed", "sibling"}}, resumed_help);
   stage_load_ = stage_hist("load");
   for (std::size_t i = 0; i < pipeline::kNumStages; ++i)
     stage_builder_[i] = stage_hist(pipeline::stage_name(static_cast<pipeline::StageId>(i)));
@@ -361,29 +365,52 @@ std::size_t GranuleService::warm(const std::vector<ProductRequest>& requests,
   return built.load();
 }
 
-std::shared_ptr<const GranuleProduct> GranuleService::probe_shallower(
-    const ProductRequest& request, pipeline::ProductKind* found_kind) {
+std::shared_ptr<const GranuleProduct> GranuleService::probe_resume(
+    const ProductRequest& request, bool* sibling) {
+  using pipeline::ProductKind;
   // Deepest shallower kind first: resuming from seasurface runs one stage,
   // from classification two — either way no shard IO and no inference.
   // Keys are re-derived per kind (prefix-scoped fingerprints), so e.g. a
   // classification product cached under any sea-surface method seeds this
   // request's method too. peek(), not get(): these probes are speculative,
   // not client requests, and must not skew the tiers' hit-rate stats.
+  *sibling = false;
   for (int k = static_cast<int>(request.kind) - 1; k >= 0; --k) {
-    const ProductKey shallow =
-        key_for_kind(request, static_cast<pipeline::ProductKind>(k));
-    if (auto hit = cache_.peek(shallow)) {
-      *found_kind = shallow.kind;
-      return hit;
-    }
+    const ProductKey shallow = key_for_kind(request, static_cast<ProductKind>(k));
+    if (auto hit = cache_.peek(shallow)) return hit;
     if (disk_) {
       if (auto hit = disk_->peek(shallow)) {
         cache_.put(shallow, hit);  // promote like any disk hit
-        *found_kind = shallow.kind;
         return hit;
       }
     }
   }
+
+  // Siblings: the seasurface and freeboard stages only read segments and
+  // classes, so every product of this granule, beam and backend carries
+  // this request's classification prefix bit for bit. Sibling keys come
+  // from the current config and backend, so a product built under another
+  // classification prefix never matches. The request's own key and its
+  // shallower kinds were probed above.
+  std::array<ProductKey, 2 * seasurface::kMethods> keys;
+  std::size_t n = 0;
+  ProductRequest other = request;
+  for (std::size_t m = 0; m < seasurface::kMethods; ++m) {
+    other.method = static_cast<seasurface::Method>(m);
+    for (const ProductKind kind : {ProductKind::freeboard, ProductKind::seasurface})
+      if (other.method != request.method || kind > request.kind)
+        keys[n++] = key_for_kind(other, kind);
+  }
+  // All of RAM before any disk: a resident sibling costs a lock, a disk one
+  // a file read. A disk sibling is not promoted — only the product the
+  // request asked for earns a RAM slot.
+  *sibling = true;
+  for (std::size_t i = 0; i < n; ++i)
+    if (auto hit = cache_.peek(keys[i])) return hit;
+  if (disk_)
+    for (std::size_t i = 0; i < n; ++i)
+      if (disk_->contains(keys[i]))
+        if (auto hit = disk_->peek(keys[i])) return hit;
   return nullptr;
 }
 
@@ -407,13 +434,14 @@ ProductResponse GranuleService::build(const ProductRequest& request, const Produ
   }
 
   // RESUME: kinds are strict stage-graph prefixes, so a cached shallower
-  // product for the same (granule, beam, config, backend) seeds the build
-  // past its stages — only the missing suffix runs.
-  pipeline::ProductKind seed_kind = pipeline::ProductKind::classification;
+  // product for the same (granule, beam, config, backend), or any sibling
+  // product of that beam, seeds the build past its stages — only the
+  // missing suffix runs.
+  bool sibling = false;
   std::shared_ptr<const GranuleProduct> seed;
-  if (request.kind != pipeline::ProductKind::classification) {
+  {
     obs::SpanScope span("resume_probe");
-    seed = probe_shallower(request, &seed_kind);
+    seed = probe_resume(request, &sibling);
   }
 
   pipeline::Artifacts art;
@@ -421,11 +449,13 @@ ProductResponse GranuleService::build(const ProductRequest& request, const Produ
   double shard_ms = 0.0;
   if (seed) {
     art = pipeline::Artifacts::resume(seed->segments, seed->classes);
-    if (seed_kind >= pipeline::ProductKind::seasurface) {
+    // A shallower seasurface product holds this request's sea surface; a
+    // sibling's may be another method's, so a sibling seeds only its prefix.
+    if (!sibling && seed->kind >= pipeline::ProductKind::seasurface) {
       art.sea_surface = seed->sea_surface;
       art.mark_done(pipeline::StageId::seasurface);
     }
-    resumed_builds_total_->inc();
+    (sibling ? resumed_sibling_total_ : resumed_shallower_total_)->inc();
   } else {
     const std::vector<std::string>* files = index_.find(request.granule_id, request.beam);
     if (!files)
@@ -481,7 +511,7 @@ ServiceMetrics GranuleService::metrics() const {
   }
   out.fast_hits = fast_hits_total_->value();
   out.writeback_failures = writeback_failures_total_->value();
-  out.resumed_builds = resumed_builds_total_->value();
+  out.resumed_builds = resumed_shallower_total_->value() + resumed_sibling_total_->value();
   out.inference_batches = nn_backend_->batches();
   out.inference_windows = nn_backend_->windows();
   out.load = stage_load_->snapshot();

@@ -12,10 +12,12 @@
 // Requests name a ProductKind (classification / seasurface / freeboard) and
 // a Backend; both are part of the cache key on each tier. Kinds are strict
 // stage-graph prefixes, so on a miss the service probes the caches for the
-// same key at shallower kinds (deepest first) and *resumes* the build from
-// that product's artifacts — a freeboard request over a cached
-// classification product runs only seasurface + freeboard: no shard IO, no
-// inference.
+// same key at shallower kinds (deepest first), then for a *sibling* — any
+// other cached product of the same granule, beam and backend, whatever its
+// kind or sea-surface method — and *resumes* the build from that product's
+// artifacts: a freeboard request over a cached classification product, or
+// over another method's freeboard product, runs only seasurface +
+// freeboard: no shard IO, no inference.
 //
 // Two cache tiers answer repeat requests without re-running the pipeline: a
 // sharded in-RAM LRU `ProductCache`, then (when `ServiceConfig::
@@ -140,7 +142,10 @@ struct ServiceMetrics {
   /// pipeline::StageId (a stage a resumed build skipped records nothing;
   /// shard IO is serve-side and lives in `load`, not here).
   std::array<obs::HistogramMetric::Snapshot, pipeline::kNumStages> builder{};
-  std::uint64_t resumed_builds = 0;  ///< builds seeded from a shallower kind
+  /// Builds seeded from a cached product instead of the shards: a shallower
+  /// kind of the request's key or a sibling product of the same beam
+  /// (split by the `seed` label of is2_serve_resumed_builds_total).
+  std::uint64_t resumed_builds = 0;
 };
 
 struct ServiceConfig {
@@ -274,10 +279,15 @@ class GranuleService {
   /// `key_for` with the kind overridden (prefix-scoped fingerprint per
   /// kind: the resume probe's key derivation).
   ProductKey key_for_kind(const ProductRequest& request, pipeline::ProductKind kind) const;
-  /// Probe RAM then disk for the request's key at every shallower kind,
-  /// deepest first; returns the deepest product found (kind in *found_kind).
-  std::shared_ptr<const GranuleProduct> probe_shallower(const ProductRequest& request,
-                                                        pipeline::ProductKind* found_kind);
+  /// The resume probe, speculative (no hit/miss counters). First the
+  /// request's key at every shallower kind, deepest first, RAM then disk
+  /// (a disk hit is promoted). Then the siblings (`*sibling` set): the
+  /// seasurface and freeboard products of this granule, beam and backend
+  /// under every other method, plus this method at deeper kinds — all of
+  /// RAM first, then disk (manifest checked before any file read, nothing
+  /// promoted). Returns the seed product, or nullptr.
+  std::shared_ptr<const GranuleProduct> probe_resume(const ProductRequest& request,
+                                                     bool* sibling);
   void count_request(Priority cls);
   /// ProductResponse for a RAM-tier hit + the fast-path bookkeeping (fast-hit
   /// counter, ~0 class latency sample).
@@ -298,7 +308,8 @@ class GranuleService {
   std::array<obs::Counter*, kPriorityClasses> requests_total_{};
   obs::Counter* fast_hits_total_ = nullptr;
   obs::Counter* writeback_failures_total_ = nullptr;
-  obs::Counter* resumed_builds_total_ = nullptr;
+  obs::Counter* resumed_shallower_total_ = nullptr;  ///< seed="shallower"
+  obs::Counter* resumed_sibling_total_ = nullptr;    ///< seed="sibling"
   obs::HistogramMetric* stage_load_ = nullptr;
   std::array<obs::HistogramMetric*, pipeline::kNumStages> stage_builder_{};  ///< by StageId
   obs::HistogramMetric* stage_disk_load_ = nullptr;

@@ -1,8 +1,12 @@
 // Preprocessing tests: confidence filtering, geophysical correction,
-// outlier rejection and along-track ordering.
+// outlier rejection (bit-identical to the per-bin reference filter, with NaN
+// heights, gaps and a photon far along the track) and along-track ordering.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "atl03/photon_sim.hpp"
 #include "atl03/preprocess.hpp"
@@ -119,6 +123,158 @@ TEST(Preprocess, TruthCarriedThrough) {
   const auto pre =
       atl03::preprocess_beam(fx.granule, fx.granule.beam(BeamId::Gt2r), fx.corrections);
   ASSERT_EQ(pre.truth_class.size(), pre.size());
+}
+
+/// The outlier filter as it was when it kept one photon vector and one
+/// median per bin of the whole along-track span: the reference the per-run
+/// filter must match bit for bit. `out` is the sorted, corrected photon
+/// series the filter sees.
+atl03::PreprocessedBeam per_bin_outlier_filter(const atl03::PreprocessedBeam& out,
+                                               const PreprocessConfig& config) {
+  const double s0 = out.s.front();
+  const auto n_bins =
+      static_cast<std::size_t>((out.s.back() - s0) / config.outlier_bin_m) + 1;
+  std::vector<std::vector<double>> bins(n_bins);
+  for (std::size_t i = 0; i < out.s.size(); ++i)
+    bins[static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m)].push_back(out.h[i]);
+  std::vector<double> bin_median(n_bins, 0.0);
+  for (std::size_t b = 0; b < n_bins; ++b)
+    bin_median[b] = bins[b].empty() ? std::numeric_limits<double>::quiet_NaN()
+                                    : util::median(bins[b]);
+  // Fill empty bins from the nearest non-empty neighbour.
+  for (std::size_t b = 0; b < n_bins; ++b) {
+    if (!std::isnan(bin_median[b])) continue;
+    for (std::size_t d = 1; d < n_bins; ++d) {
+      if (b >= d && !std::isnan(bin_median[b - d])) { bin_median[b] = bin_median[b - d]; break; }
+      if (b + d < n_bins && !std::isnan(bin_median[b + d])) { bin_median[b] = bin_median[b + d]; break; }
+    }
+  }
+
+  atl03::PreprocessedBeam filtered;
+  filtered.beam = out.beam;
+  filtered.track_origin = out.track_origin;
+  filtered.track_heading = out.track_heading;
+  filtered.epoch_time = out.epoch_time;
+  for (std::size_t i = 0; i < out.s.size(); ++i) {
+    const auto b = static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m);
+    if (std::abs(out.h[i] - bin_median[b]) > config.outlier_threshold_m) continue;
+    filtered.s.push_back(out.s[i]);
+    filtered.h.push_back(out.h[i]);
+    filtered.t.push_back(out.t[i]);
+    filtered.x.push_back(out.x[i]);
+    filtered.y.push_back(out.y[i]);
+    filtered.bckgrd_rate.push_back(out.bckgrd_rate[i]);
+    if (!out.truth_class.empty()) filtered.truth_class.push_back(out.truth_class[i]);
+  }
+  return filtered;
+}
+
+/// Byte equality, so NaN heights compare equal to themselves.
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b,
+                      const char* field) {
+  ASSERT_EQ(a.size(), b.size()) << field;
+  EXPECT_TRUE(a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0)
+      << field;
+}
+
+/// preprocess_beam against the per-bin reference applied to the same beam
+/// with the filter off (an infinite threshold keeps every photon).
+void expect_matches_per_bin_reference(const atl03::Granule& granule,
+                                      const atl03::BeamData& beam,
+                                      const geo::GeoCorrections& corrections) {
+  const PreprocessConfig config;
+  PreprocessConfig unfiltered = config;
+  unfiltered.outlier_threshold_m = std::numeric_limits<double>::infinity();
+  const auto all = atl03::preprocess_beam(granule, beam, corrections, unfiltered);
+  ASSERT_GT(all.size(), 0u);
+  const auto expected = per_bin_outlier_filter(all, config);
+  const auto got = atl03::preprocess_beam(granule, beam, corrections, config);
+  expect_same_bits(got.s, expected.s, "s");
+  expect_same_bits(got.h, expected.h, "h");
+  expect_same_bits(got.t, expected.t, "t");
+  expect_same_bits(got.x, expected.x, "x");
+  expect_same_bits(got.y, expected.y, "y");
+  expect_same_bits(got.bckgrd_rate, expected.bckgrd_rate, "bckgrd_rate");
+  EXPECT_EQ(got.truth_class, expected.truth_class);
+}
+
+TEST(Preprocess, OutlierFilterMatchesPerBinReferenceOnFixtureBeams) {
+  Fixture fx;
+  for (const auto& beam : fx.granule.beams) {
+    SCOPED_TRACE(atl03::beam_name(beam.beam));
+    expect_matches_per_bin_reference(fx.granule, beam, fx.corrections);
+  }
+}
+
+TEST(Preprocess, OutlierFilterMatchesPerBinReferenceWithNanHeightsAndGaps) {
+  Fixture fx;
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double s_min = raw.along_track[0];
+  for (double s : raw.along_track) s_min = std::min(s_min, s);
+
+  // Spikes the filter must reject, so the comparison covers rejections.
+  auto spiked = raw;
+  for (std::size_t i = 0; i < spiked.size(); i += 53) spiked.h[i] += 200.0;
+
+  // NaN heights. In the first bins (no median to their left) and in two
+  // bins mid-track, all photons but every 9th are NaN and those few are
+  // spikes: where their bin's median is NaN, a neighbour's median must
+  // reject them. Scattered NaNs elsewhere.
+  auto nans = spiked;
+  for (std::size_t i = 0; i < nans.size(); ++i) {
+    const double s = nans.along_track[i] - s_min;
+    const bool sparse = s < 60.0 || (s >= 1000.0 && s < 1050.0);
+    if (sparse) nans.h[i] = i % 9 == 0 ? nans.h[i] + 200.0 : nan;
+    if (i % 31 == 0) nans.h[i] = nan;
+  }
+
+  // A 1 km gap: every photon past 3 km moves 1 km further along the track
+  // and 10 m up. Right after the gap, bins of NaNs with a few finite photons
+  // at the new level: a NaN median there takes the last median before the
+  // gap (10 m lower, so they are rejected), not the nearer one after it.
+  auto gap = nans;
+  for (std::size_t i = 0; i < gap.size(); ++i) {
+    double& s = gap.along_track[i];
+    if (s - s_min <= 3000.0) continue;
+    s += 1000.0;
+    gap.h[i] += 10.0;
+    if (s - s_min < 4040.0 && i % 9 != 0) gap.h[i] = nan;
+  }
+
+  auto all_nan = raw;
+  for (double& h : all_nan.h) h = nan;
+
+  for (const auto* beam : {&spiked, &nans, &gap, &all_nan})
+    expect_matches_per_bin_reference(fx.granule, *beam, fx.corrections);
+
+  // Every NaN-height photon is kept: it is never farther than the threshold.
+  const auto all = atl03::preprocess_beam(fx.granule, all_nan, fx.corrections);
+  std::size_t high = 0;
+  for (auto c : all_nan.signal_conf)
+    if (c >= static_cast<std::int8_t>(SignalConf::High)) ++high;
+  EXPECT_EQ(all.size(), high);
+}
+
+TEST(Preprocess, DistantPhotonCostsNoPerBinAllocation) {
+  // Three photons, one 1e11 m along the track: per-bin storage over that
+  // span would be 4e9 bins. Each photon sits alone or with its neighbour
+  // in its bin, so all three are kept.
+  Fixture fx;
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  atl03::BeamData beam;
+  beam.beam = raw.beam;
+  for (std::size_t i = 0; i < 3; ++i) {
+    beam.delta_time.push_back(raw.delta_time[i]);
+    beam.lat.push_back(raw.lat[i]);
+    beam.lon.push_back(raw.lon[i]);
+    beam.h.push_back(0.1 * static_cast<double>(i));
+    beam.signal_conf.push_back(static_cast<std::int8_t>(SignalConf::High));
+  }
+  beam.along_track = {0.0, 1.0, 1e11};
+  const auto pre = atl03::preprocess_beam(fx.granule, beam, fx.corrections);
+  ASSERT_EQ(pre.size(), 3u);
+  EXPECT_EQ(pre.s[2], 1e11);
 }
 
 TEST(Preprocess, EmptyBeamYieldsEmptyResult) {

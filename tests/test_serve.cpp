@@ -5,8 +5,9 @@
 // displacement), request coalescing and backpressure in the scheduler,
 // priority-ordered shedding under saturation, cache-hit serving without
 // re-dispatch, bulk warm-up via mapred::Engine, concurrent mixed hit/miss
-// traffic, and bit-identity of served products with the batch pipeline
-// across all three serve paths (RAM hit / disk hit / rebuild).
+// traffic, builds resumed from a shallower kind or a sibling product, and
+// bit-identity of served products with the batch pipeline across all three
+// serve paths (RAM hit / disk hit / rebuild).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -1330,6 +1331,133 @@ TEST_F(ServeCampaign, ClassificationDiskHitSeedsFreeboardBuildAcrossRestart) {
   EXPECT_EQ(m.inference_windows, 0u);  // this service never ran the classifier
   expect_bit_identical(*fb.product,
                        batch_reference(BeamId::Gt2r, seasurface::Method::NasaEquation));
+}
+
+TEST_F(ServeCampaign, SiblingOnDiskSeedsEveryKindAndMethodAcrossRestart) {
+  // A restarted service whose disk tier holds one beam's MinElevation
+  // freeboard product only. Every other product of that beam — another
+  // method's freeboard and seasurface, the classification — carries the
+  // same classification prefix, so each resumes from a sibling: no shard
+  // IO, no inference, bit-identical to the from-shards product.
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.disk_cache_dir = dir_ + "/disk_sibling";
+  const ProductRequest min_fb = request(BeamId::Gt3r, seasurface::Method::MinElevation);
+  {
+    auto service = make_service(cfg);
+    ASSERT_NE(service->submit(min_fb).get().product, nullptr);
+    service->wait_disk_writebacks();
+    EXPECT_EQ(service->metrics().disk.writes, 1u);
+  }
+
+  const GranuleProduct fb_ref = batch_reference(BeamId::Gt3r, seasurface::Method::NasaEquation);
+  GranuleProduct ss_ref = fb_ref;
+  ss_ref.freeboard = {};
+  GranuleProduct cls_ref = ss_ref;
+  cls_ref.sea_surface = {};
+
+  ProductRequest nasa_fb = request(BeamId::Gt3r, seasurface::Method::NasaEquation);
+  ProductRequest nasa_ss = nasa_fb;
+  nasa_ss.kind = pipeline::ProductKind::seasurface;
+  ProductRequest cls = nasa_fb;
+  cls.kind = pipeline::ProductKind::classification;
+  const std::pair<ProductRequest, const GranuleProduct*> cases[] = {
+      {nasa_fb, &fb_ref}, {nasa_ss, &ss_ref}, {cls, &cls_ref}};
+
+  auto service = make_service(cfg);
+  const auto full_loads_before = h5::load_granule_call_count();
+  std::uint64_t resumed = 0;
+  for (const auto& [r, reference] : cases) {
+    SCOPED_TRACE(pipeline::product_kind_name(r.kind));
+    const auto response = service->submit(r).get();
+    ASSERT_NE(response.product, nullptr);
+    EXPECT_EQ(response.source, ServedFrom::build);  // a build, but a resumed one
+    EXPECT_EQ(response.product->kind, r.kind);
+    EXPECT_EQ(h5::load_granule_call_count(), full_loads_before);  // no shard IO
+    const auto m = service->metrics();
+    EXPECT_EQ(m.inference_windows, 0u);
+    EXPECT_EQ(m.resumed_builds, ++resumed);
+    expect_bit_identical(*response.product, *reference);
+  }
+
+  const auto m = service->metrics();
+  EXPECT_EQ(m.load.stats.count(), 0u);  // no from-shards build ran
+  // Sibling probes are speculative: the disk tier counted only the three
+  // requests' own misses, and the disk sibling was not promoted to RAM.
+  EXPECT_EQ(m.disk.hits, 0u);
+  EXPECT_EQ(m.disk.misses, 3u);
+  EXPECT_EQ(service->peek_ram(service->key_for(min_fb)), nullptr);
+  EXPECT_EQ(m.cache.entries, 3u);
+
+  // The first build found the sibling on disk, the next two in RAM (the
+  // NasaEquation products just built); all three count as seed="sibling".
+  const auto snap = service->obs_snapshot();
+  const auto resumed_by = [&snap](const char* seed) {
+    for (const obs::MetricPoint& p : snap.points)
+      if (p.name == "is2_serve_resumed_builds_total" &&
+          p.labels == obs::Labels{{"seed", seed}})
+        return p.value;
+    ADD_FAILURE() << "no is2_serve_resumed_builds_total{seed=\"" << seed << "\"}";
+    return -1.0;
+  };
+  EXPECT_EQ(resumed_by("sibling"), 3.0);
+  EXPECT_EQ(resumed_by("shallower"), 0.0);
+}
+
+TEST_F(ServeCampaign, SiblingOfAnotherBackendIsNotASeed) {
+  // Products of one beam share a classification prefix only under one
+  // classifier: a decision-tree request next to a cached nn product of the
+  // same beam must build from the shards.
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  auto service = make_service_with_tree(cfg);
+  ASSERT_NE(service->submit(request(BeamId::Gt1r)).get().product, nullptr);
+
+  ProductRequest tree_cls = request(BeamId::Gt1r);
+  tree_cls.kind = pipeline::ProductKind::classification;
+  tree_cls.backend = pipeline::Backend::decision_tree;
+  const auto full_loads_before = h5::load_granule_call_count();
+  const auto response = service->submit(tree_cls).get();
+  ASSERT_NE(response.product, nullptr);
+  EXPECT_EQ(response.source, ServedFrom::build);
+  EXPECT_GT(h5::load_granule_call_count(), full_loads_before);  // shard IO ran
+
+  const auto m = service->metrics();
+  EXPECT_EQ(m.resumed_builds, 0u);
+  EXPECT_EQ(m.load.stats.count(), 2u);
+}
+
+TEST_F(ServeCampaign, SiblingUnderAnotherClassificationPrefixIsNotASeed) {
+  // A disk tier filled under one segmenter window, read by a service whose
+  // config changes the classification prefix: the old products are never
+  // siblings, so the request builds from the shards.
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.disk_cache_dir = dir_ + "/disk_sibling_prefix";
+  {
+    auto service = make_service(cfg);
+    ASSERT_NE(service->submit(request(BeamId::Gt2r, seasurface::Method::MinElevation))
+                  .get()
+                  .product,
+              nullptr);
+    service->wait_disk_writebacks();
+    EXPECT_EQ(service->metrics().disk.writes, 1u);
+  }
+
+  core::PipelineConfig changed = *config_;
+  changed.segmenter.window_m *= 2.0;
+  serve::GranuleService service(cfg, changed, campaign_->corrections(), *index_,
+                                &ServeCampaign::make_model, *scaler_);
+  const auto full_loads_before = h5::load_granule_call_count();
+  const auto response = service.submit(request(BeamId::Gt2r)).get();
+  ASSERT_NE(response.product, nullptr);
+  EXPECT_EQ(response.source, ServedFrom::build);
+  EXPECT_GT(h5::load_granule_call_count(), full_loads_before);  // shard IO ran
+
+  const auto m = service.metrics();
+  EXPECT_EQ(m.resumed_builds, 0u);
+  EXPECT_EQ(m.load.stats.count(), 1u);
+  EXPECT_GT(m.inference_windows, 0u);
 }
 
 TEST_F(ServeCampaign, OldKeyLayoutDiskFileIsRejectedAfterFormatBump) {
