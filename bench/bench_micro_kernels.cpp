@@ -1,7 +1,7 @@
 // Micro-benchmarks for the kernels the pipeline spends its time in — GEMM,
 // LSTM forward/backward, focal loss, ring all-reduce, projection, 2 m
-// resampling, h5lite (de)serialization — plus the distributed-training
-// substrate's headline numbers.
+// resampling, h5lite (de)serialization, CRC-32 — plus the
+// distributed-training substrate's headline numbers.
 //
 //   ./bench/bench_micro_kernels [BENCH_dist.json]
 //
@@ -20,6 +20,8 @@
 // Tripwire (exit 1): the 4-rank trainer speedup must stay >= 2.5x — the
 // floor that keeps the bucketed-overlap path honest (paper's Table 4 shows
 // near-linear scaling at 4 workers).
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -32,6 +34,7 @@
 #include "dist/trainer.hpp"
 #include "geo/polar_stereo.hpp"
 #include "h5lite/granule_io.hpp"
+#include "h5lite/h5file.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/model.hpp"
@@ -152,6 +155,26 @@ void bench_resample_and_h5(const SimFixture& fx) {
               double(buf.size()) / (ser_ms * 1e3), de_ms, double(buf.size()) / (de_ms * 1e3));
 }
 
+/// CRC-32 throughput at the sizes the file paths checksum: a serve product
+/// (the tiny preset's beam, 359 130 B) and a batch shard (1.77 MB). Best of
+/// 30 calls; the kernel is the one crc32 picked for this CPU.
+void bench_crc32() {
+  std::printf("== crc32 (%s) ==\n", h5::crc32_kernel());
+  Rng rng(5);
+  for (const std::size_t n : {std::size_t{359130}, std::size_t{1770000}}) {
+    std::vector<std::uint8_t> buf(n);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+    double best_ms = 1e30;
+    for (int i = 0; i < 30; ++i) {
+      Timer t;
+      g_sink = static_cast<float>(h5::crc32(buf));
+      best_ms = std::min(best_ms, t.millis());
+    }
+    std::printf("  %8zu B  %8.1f us  %6.2f GB/s\n", n, best_ms * 1e3,
+                static_cast<double>(n) / (best_ms * 1e6));
+  }
+}
+
 /// One point of the all-reduce sweep: aggregate GB/s through an N-rank ring
 /// reduction of `n` floats (bytes moved = ranks × 2(N−1)/N × 4n).
 struct AllreducePoint {
@@ -259,6 +282,7 @@ int main(int argc, char** argv) {
     const SimFixture fx;
     bench_resample_and_h5(fx);
   }
+  bench_crc32();
   const auto allreduce = bench_allreduce();
   const auto training = bench_dist_training();
 

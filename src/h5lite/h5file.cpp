@@ -10,6 +10,10 @@
 
 #include <unistd.h>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace is2::h5 {
 
 std::size_t dtype_size(DType t) {
@@ -66,12 +70,8 @@ std::uint32_t load_le32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-}  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
-  std::uint32_t crc = 0xFFFFFFFFu;
+/// Advances the CRC register `crc` (no initial or final XOR) over n bytes.
+std::uint32_t crc32_tables(std::uint32_t crc, const std::uint8_t* p, std::size_t n) {
   for (; n >= 8; p += 8, n -= 8) {
     const std::uint32_t lo = crc ^ load_le32(p);
     const std::uint32_t hi = load_le32(p + 4);
@@ -80,7 +80,105 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
           kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
   }
   for (; n > 0; ++p, --n) crc = kCrc[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+#if defined(__x86_64__)
+
+/// One fold step: the 128-bit lane's low and high halves, each multiplied
+/// by its constant (x^k mod P for the distance folded), XORed into `next`,
+/// the 16 message bytes that lie that far ahead.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i fold16(__m128i lane, __m128i k,
+                                                                 __m128i next) {
+  return _mm_xor_si128(
+      _mm_xor_si128(_mm_clmulepi64_si128(lane, k, 0x00), _mm_clmulepi64_si128(lane, k, 0x11)),
+      next);
+}
+
+/// Carry-less-multiply folding (Intel, "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ"; the reflected IEEE constants are those of
+/// Linux's crc32-pclmul). Advances the register `crc` over the first
+/// n & ~15 bytes, n >= 64, and returns it; the caller finishes the rest.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold_pclmul(
+    std::uint32_t crc, const std::uint8_t* p, std::size_t n) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);  // fold by 4 lanes
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);  // fold by 1 lane
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);              // 64 -> 32 bits
+  const __m128i poly_mu = _mm_set_epi64x(0x1F7011641, 0x1DB710641);  // Barrett: mu, P'
+  const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+  const auto load = [](const std::uint8_t* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+
+  // 1. The running CRC enters as an XOR into the first 16 bytes.
+  __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = load(p + 16), x2 = load(p + 32), x3 = load(p + 48);
+  p += 64;
+  n -= 64;
+  // 2. Four independent lanes, each folded 64 bytes ahead per block.
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = fold16(x0, k1k2, load(p));
+    x1 = fold16(x1, k1k2, load(p + 16));
+    x2 = fold16(x2, k1k2, load(p + 32));
+    x3 = fold16(x3, k1k2, load(p + 48));
+  }
+  // 3. The four lanes into one, 4. then each remaining 16-byte block.
+  x0 = fold16(x0, k3k4, x1);
+  x0 = fold16(x0, k3k4, x2);
+  x0 = fold16(x0, k3k4, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = fold16(x0, k3k4, load(p));
+
+  // 5. 128 -> 64 bits (appending 32 zero bits), 64 -> 32 bits, then the
+  // Barrett reduction modulo P leaves the register in bits 32..63.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8), _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), k5, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly_mu, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+
+/// Whether this CPU runs crc32_fold_pclmul; asked once per process.
+bool cpu_has_pclmul() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  }();
+  return has;
+}
+
+#endif
+
+}  // namespace
+
+namespace detail {
+
+std::uint32_t crc32_slicing8(std::span<const std::uint8_t> data) {
+  return crc32_tables(0xFFFFFFFFu, data.data(), data.size()) ^ 0xFFFFFFFFu;
+}
+
+}  // namespace detail
+
+const char* crc32_kernel() {
+#if defined(__x86_64__)
+  if (cpu_has_pclmul()) return "pclmul";
+#endif
+  return "slicing-by-8";
+}
+
+std::uint32_t crc32(std::span<const std::uint8_t> data) {
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint32_t crc = 0xFFFFFFFFu;
+#if defined(__x86_64__)
+  // 6. Inputs under 64 bytes, and the last < 16 bytes, take the tables.
+  if (n >= 64 && cpu_has_pclmul()) {
+    crc = crc32_fold_pclmul(crc, p, n);
+    p += n & ~std::size_t{15};
+    n &= 15;
+  }
+#endif
+  return crc32_tables(crc, p, n) ^ 0xFFFFFFFFu;
 }
 
 const File::Entry& File::entry(const std::string& path) const {
@@ -221,13 +319,14 @@ std::vector<std::uint8_t> File::serialize() const {
     }
   }
 
-  Writer out;
+  const auto payload = body.written();
+  Writer out(16 + payload.size() + 4);
   out.bytes(reinterpret_cast<const std::uint8_t*>(kMagic), 4);
   out.raw(kVersion);
-  out.raw(static_cast<std::uint64_t>(body.buf.size()));
-  out.bytes(body.buf.data(), body.buf.size());
-  out.raw(crc32(body.buf));
-  return out.buf;
+  out.raw(static_cast<std::uint64_t>(payload.size()));
+  out.bytes(payload.data(), payload.size());
+  out.raw(crc32(payload));
+  return out.release();
 }
 
 File File::deserialize(std::span<const std::uint8_t> buffer) {
@@ -261,8 +360,8 @@ File File::deserialize(std::span<const std::uint8_t> buffer) {
     // Before the allocation: the length field must not claim more bytes
     // than the buffer still holds.
     if (nbytes > r.remaining()) throw H5Error("h5lite: truncated file");
-    e.bytes.resize(static_cast<std::size_t>(nbytes));
-    r.bytes(e.bytes.data(), e.bytes.size());
+    const std::uint8_t* from = r.take(static_cast<std::size_t>(nbytes));
+    e.bytes.assign(from, from + nbytes);
     f.datasets_[path] = std::move(e);
   }
   const auto n_attrs = r.raw<std::uint32_t>();

@@ -12,6 +12,7 @@
 //   u32 crc32 of everything after the 16-byte header
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -154,9 +155,22 @@ class File {
 };
 
 /// CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, initial value and
-/// final XOR 0xFFFFFFFF) used for file integrity. Computed by slicing-by-8,
-/// eight bytes per step; the values are those of the bytewise definition.
+/// final XOR 0xFFFFFFFF) used for file integrity; the values are those of
+/// the bytewise definition. On x86-64 CPUs with PCLMULQDQ and SSE4.1
+/// (detected once per process, no setting) inputs of 64 bytes or more fold
+/// 64 bytes per step by carry-less multiplication; everything else, and the
+/// last < 16 bytes, runs slicing-by-8, eight bytes per table step.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
+
+/// The kernel crc32 runs for inputs of 64 bytes or more on this CPU:
+/// "pclmul" or "slicing-by-8".
+const char* crc32_kernel();
+
+namespace detail {
+/// crc32's table kernel on its own, whatever the CPU: declared so tests
+/// check it also where crc32 itself folds with PCLMULQDQ.
+std::uint32_t crc32_slicing8(std::span<const std::uint8_t> data);
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Generic little-endian block IO
@@ -165,23 +179,50 @@ std::uint32_t crc32(std::span<const std::uint8_t> data);
 // binary formats (e.g. the serve disk product cache) share one set of
 // bounds-checked encode/decode routines instead of reinventing them.
 
-/// Append-only little-endian byte buffer: fixed-width scalars via raw<T>(),
-/// length-prefixed strings via str().
+/// Append-only little-endian byte buffer written at a cursor: fixed-width
+/// scalars via raw<T>(), length-prefixed strings via str(), and append(n)
+/// for a block the caller fills itself. Constructed with the encoded size,
+/// it allocates once and each write is a bounds compare and a store; past
+/// that size it grows geometrically.
 class ByteWriter {
  public:
-  std::vector<std::uint8_t> buf;
+  ByteWriter() = default;
+  explicit ByteWriter(std::size_t size) : buf_(size) {}
 
   template <typename T>
   void raw(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    buf.insert(buf.end(), p, p + sizeof(T));
+    std::memcpy(append(sizeof(T)), &v, sizeof(T));
   }
-  void bytes(const std::uint8_t* p, std::size_t n) { buf.insert(buf.end(), p, p + n); }
+  void bytes(const std::uint8_t* p, std::size_t n) {
+    std::uint8_t* to = append(n);
+    if (n != 0) std::memcpy(to, p, n);
+  }
   void str(const std::string& s) {
     raw(static_cast<std::uint32_t>(s.size()));
     bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
+  /// Appends n bytes for the caller to fill, after one bounds check for all
+  /// of them, and returns where they start (valid until the next write).
+  std::uint8_t* append(std::size_t n) {
+    if (n > buf_.size() - pos_) buf_.resize(std::max(2 * buf_.size(), pos_ + n));
+    std::uint8_t* at = buf_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+
+  /// The bytes written so far.
+  std::span<const std::uint8_t> written() const { return {buf_.data(), pos_}; }
+  /// Moves the written bytes out; the writer is left empty.
+  std::vector<std::uint8_t> release() {
+    buf_.resize(pos_);
+    pos_ = 0;
+    return std::move(buf_);
+  }
+
+ private:
+  std::vector<std::uint8_t> buf_;  ///< [0, pos_) written, the rest spare
+  std::size_t pos_ = 0;
 };
 
 /// Bounds-checked sequential reader over an in-memory buffer; every read
@@ -202,9 +243,15 @@ class ByteReader {
     return v;
   }
   void bytes(std::uint8_t* p, std::size_t n) {
+    const std::uint8_t* from = take(n);
+    if (n != 0) std::memcpy(p, from, n);
+  }
+  /// The next n bytes in place, after one bounds check for all of them.
+  const std::uint8_t* take(std::size_t n) {
     if (n > remaining()) throw H5Error("h5lite: truncated file");
-    std::memcpy(p, buf_.data() + pos_, n);
+    const std::uint8_t* at = buf_.data() + pos_;
     pos_ += n;
+    return at;
   }
   std::string str() {
     const auto n = raw<std::uint32_t>();

@@ -48,32 +48,63 @@ Identity read_identity(h5::ByteReader& r) {
   return id;
 }
 
-void write_segment(h5::ByteWriter& w, const resample::Segment& s) {
-  w.raw(s.s); w.raw(s.t); w.raw(s.x); w.raw(s.y);
-  w.raw(s.h_mean); w.raw(s.h_median); w.raw(s.h_std); w.raw(s.h_min);
-  w.raw(s.n_photons); w.raw(s.photon_rate); w.raw(s.bckgrd_rate);
-  w.raw(static_cast<std::uint8_t>(s.truth));
+// Encoded bytes per element of the payload's four arrays; the encoder sizes
+// its buffer and the decoder checks each array's count with these.
+constexpr std::size_t kSegmentBytes = 8 * 8 + 4 + 2 * 8 + 1;
+constexpr std::size_t kClassBytes = 1;
+constexpr std::size_t kSurfacePointBytes = 3 * 8 + 2 * 4 + 1;
+constexpr std::size_t kFreeboardPointBytes = 4 * 8 + 2 * 1;
+static_assert(sizeof(atl03::SurfaceClass) == kClassBytes);
+
+// Each array of the payload is encoded and decoded in one block of
+// count × element bytes, bounds-checked once; the fields go in and out
+// through a cursor into that block.
+template <typename T>
+void store(std::uint8_t*& q, const T& v) {
+  std::memcpy(q, &v, sizeof(T));
+  q += sizeof(T);
 }
 
-resample::Segment read_segment(h5::ByteReader& r) {
+template <typename T>
+T load(const std::uint8_t*& q) {
+  T v;
+  std::memcpy(&v, q, sizeof(T));
+  q += sizeof(T);
+  return v;
+}
+
+void write_segment(std::uint8_t*& q, const resample::Segment& s) {
+  store(q, s.s); store(q, s.t); store(q, s.x); store(q, s.y);
+  store(q, s.h_mean); store(q, s.h_median); store(q, s.h_std); store(q, s.h_min);
+  store(q, s.n_photons); store(q, s.photon_rate); store(q, s.bckgrd_rate);
+  store(q, static_cast<std::uint8_t>(s.truth));
+}
+
+resample::Segment read_segment(const std::uint8_t*& q) {
   resample::Segment s;
-  s.s = r.raw<double>(); s.t = r.raw<double>(); s.x = r.raw<double>(); s.y = r.raw<double>();
-  s.h_mean = r.raw<double>(); s.h_median = r.raw<double>();
-  s.h_std = r.raw<double>(); s.h_min = r.raw<double>();
-  s.n_photons = r.raw<std::uint32_t>();
-  s.photon_rate = r.raw<double>(); s.bckgrd_rate = r.raw<double>();
-  s.truth = static_cast<atl03::SurfaceClass>(r.raw<std::uint8_t>());
+  s.s = load<double>(q); s.t = load<double>(q); s.x = load<double>(q); s.y = load<double>(q);
+  s.h_mean = load<double>(q); s.h_median = load<double>(q);
+  s.h_std = load<double>(q); s.h_min = load<double>(q);
+  s.n_photons = load<std::uint32_t>(q);
+  s.photon_rate = load<double>(q); s.bckgrd_rate = load<double>(q);
+  s.truth = static_cast<atl03::SurfaceClass>(load<std::uint8_t>(q));
   return s;
 }
 
-/// Element counts read from disk are validated against the bytes actually
-/// remaining before any allocation, so a corrupt count raises H5Error
-/// instead of attempting a multi-GiB vector resize.
-std::size_t checked_count(h5::ByteReader& r, std::size_t min_elem_bytes) {
+/// One payload array: its u64 element count, checked against the bytes left
+/// (a corrupt count raises H5Error instead of attempting a multi-GiB
+/// resize), and its count × elem_bytes encoded elements, bounds-checked
+/// once as a whole.
+struct Array {
+  std::size_t count;
+  const std::uint8_t* bytes;
+};
+
+Array read_array(h5::ByteReader& r, std::size_t elem_bytes) {
   const auto n = r.raw<std::uint64_t>();
-  if (min_elem_bytes && n > r.remaining() / min_elem_bytes)
-    throw h5::H5Error("disk_cache: corrupt element count");
-  return static_cast<std::size_t>(n);
+  if (n > r.remaining() / elem_bytes) throw h5::H5Error("disk_cache: corrupt element count");
+  const auto count = static_cast<std::size_t>(n);
+  return {count, r.take(count * elem_bytes)};
 }
 
 }  // namespace
@@ -92,26 +123,15 @@ std::string DiskCache::filename_for(const ProductKey& key) {
 
 std::vector<std::uint8_t> DiskCache::serialize(const ProductKey& key,
                                                const GranuleProduct& product) {
-  h5::ByteWriter body;
-  body.raw(static_cast<std::uint64_t>(product.segments.size()));
-  for (const auto& s : product.segments) write_segment(body, s);
-  body.raw(static_cast<std::uint64_t>(product.classes.size()));
-  for (const auto c : product.classes) body.raw(static_cast<std::uint8_t>(c));
   const auto& surface = product.sea_surface.points();
-  body.raw(static_cast<std::uint64_t>(surface.size()));
-  for (const auto& p : surface) {
-    body.raw(p.s); body.raw(p.h_ref); body.raw(p.sigma);
-    body.raw(p.n_leads); body.raw(p.n_water_segments);
-    body.raw(static_cast<std::uint8_t>(p.interpolated));
-  }
-  body.raw(static_cast<std::uint64_t>(product.freeboard.points.size()));
-  for (const auto& p : product.freeboard.points) {
-    body.raw(p.s); body.raw(p.x); body.raw(p.y); body.raw(p.freeboard);
-    body.raw(static_cast<std::uint8_t>(p.cls));
-    body.raw(static_cast<std::uint8_t>(p.truth));
-  }
+  const auto& freeboard = product.freeboard.points;
+  const std::size_t header_bytes = kIdentityPrefixBytes + 4 + key.granule_id.size() + 8;
+  const std::size_t payload_bytes = 4 * 8 + product.segments.size() * kSegmentBytes +
+                                    product.classes.size() * kClassBytes +
+                                    surface.size() * kSurfacePointBytes +
+                                    freeboard.size() * kFreeboardPointBytes;
 
-  h5::ByteWriter out;
+  h5::ByteWriter out(header_bytes + payload_bytes + 4);
   out.bytes(reinterpret_cast<const std::uint8_t*>(kMagic), 4);
   out.raw(kFormatVersion);
   out.raw(key.config_hash);
@@ -119,10 +139,30 @@ std::vector<std::uint8_t> DiskCache::serialize(const ProductKey& key,
   out.raw(static_cast<std::uint8_t>(key.kind));
   out.raw(static_cast<std::uint8_t>(key.backend));
   out.str(key.granule_id);
-  out.raw(static_cast<std::uint64_t>(body.buf.size()));
-  out.bytes(body.buf.data(), body.buf.size());
-  out.raw(h5::crc32(body.buf));
-  return out.buf;
+  out.raw(static_cast<std::uint64_t>(payload_bytes));
+
+  out.raw(static_cast<std::uint64_t>(product.segments.size()));
+  std::uint8_t* q = out.append(product.segments.size() * kSegmentBytes);
+  for (const auto& s : product.segments) write_segment(q, s);
+  out.raw(static_cast<std::uint64_t>(product.classes.size()));
+  out.bytes(reinterpret_cast<const std::uint8_t*>(product.classes.data()),
+            product.classes.size() * kClassBytes);
+  out.raw(static_cast<std::uint64_t>(surface.size()));
+  q = out.append(surface.size() * kSurfacePointBytes);
+  for (const auto& p : surface) {
+    store(q, p.s); store(q, p.h_ref); store(q, p.sigma);
+    store(q, p.n_leads); store(q, p.n_water_segments);
+    store(q, static_cast<std::uint8_t>(p.interpolated));
+  }
+  out.raw(static_cast<std::uint64_t>(freeboard.size()));
+  q = out.append(freeboard.size() * kFreeboardPointBytes);
+  for (const auto& p : freeboard) {
+    store(q, p.s); store(q, p.x); store(q, p.y); store(q, p.freeboard);
+    store(q, static_cast<std::uint8_t>(p.cls));
+    store(q, static_cast<std::uint8_t>(p.truth));
+  }
+  out.raw(h5::crc32(out.written().subspan(header_bytes)));
+  return out.release();
 }
 
 GranuleProduct DiskCache::deserialize(std::span<const std::uint8_t> bytes,
@@ -139,34 +179,42 @@ GranuleProduct DiskCache::deserialize(std::span<const std::uint8_t> bytes,
   if (crc_r.raw<std::uint32_t>() != h5::crc32(payload_span))
     throw h5::H5Error("disk_cache: checksum mismatch (corrupt file)");
 
+  // Every array's count is checked against the bytes left before anything
+  // is allocated, and the arrays must fill the payload exactly.
   h5::ByteReader body(payload_span);
+  const Array segments = read_array(body, kSegmentBytes);
+  const Array classes = read_array(body, kClassBytes);
+  const Array surface = read_array(body, kSurfacePointBytes);
+  const Array freeboard = read_array(body, kFreeboardPointBytes);
+  if (body.remaining() != 0) throw h5::H5Error("disk_cache: trailing bytes in payload");
+
   GranuleProduct product;
   product.granule_id = expect.granule_id;
   product.beam = expect.beam;
   product.kind = expect.kind;
-  const std::size_t n_segments = checked_count(body, 8);
-  product.segments.reserve(n_segments);
-  for (std::size_t i = 0; i < n_segments; ++i)
-    product.segments.push_back(read_segment(body));
-  product.classes.resize(checked_count(body, 1));
-  for (auto& c : product.classes)
-    c = static_cast<atl03::SurfaceClass>(body.raw<std::uint8_t>());
-  std::vector<seasurface::SeaSurfacePoint> surface(checked_count(body, 8));
-  for (auto& p : surface) {
-    p.s = body.raw<double>(); p.h_ref = body.raw<double>(); p.sigma = body.raw<double>();
-    p.n_leads = body.raw<std::uint32_t>();
-    p.n_water_segments = body.raw<std::uint32_t>();
-    p.interpolated = body.raw<std::uint8_t>() != 0;
+  product.segments.reserve(segments.count);
+  const std::uint8_t* q = segments.bytes;
+  for (std::size_t i = 0; i < segments.count; ++i) product.segments.push_back(read_segment(q));
+  product.classes.resize(classes.count);
+  if (classes.count != 0)
+    std::memcpy(product.classes.data(), classes.bytes, classes.count * kClassBytes);
+  std::vector<seasurface::SeaSurfacePoint> surface_points(surface.count);
+  q = surface.bytes;
+  for (auto& p : surface_points) {
+    p.s = load<double>(q); p.h_ref = load<double>(q); p.sigma = load<double>(q);
+    p.n_leads = load<std::uint32_t>(q);
+    p.n_water_segments = load<std::uint32_t>(q);
+    p.interpolated = load<std::uint8_t>(q) != 0;
   }
-  product.sea_surface = seasurface::SeaSurfaceProfile(std::move(surface));
-  product.freeboard.points.resize(checked_count(body, 8));
+  product.sea_surface = seasurface::SeaSurfaceProfile(std::move(surface_points));
+  product.freeboard.points.resize(freeboard.count);
+  q = freeboard.bytes;
   for (auto& p : product.freeboard.points) {
-    p.s = body.raw<double>(); p.x = body.raw<double>(); p.y = body.raw<double>();
-    p.freeboard = body.raw<double>();
-    p.cls = static_cast<atl03::SurfaceClass>(body.raw<std::uint8_t>());
-    p.truth = static_cast<atl03::SurfaceClass>(body.raw<std::uint8_t>());
+    p.s = load<double>(q); p.x = load<double>(q); p.y = load<double>(q);
+    p.freeboard = load<double>(q);
+    p.cls = static_cast<atl03::SurfaceClass>(load<std::uint8_t>(q));
+    p.truth = static_cast<atl03::SurfaceClass>(load<std::uint8_t>(q));
   }
-  if (body.remaining() != 0) throw h5::H5Error("disk_cache: trailing bytes in payload");
   return product;
 }
 

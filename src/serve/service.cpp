@@ -162,6 +162,11 @@ GranuleService::GranuleService(const ServiceConfig& config,
                                         "answered from RAM cache without dispatch");
   writeback_failures_total_ = &registry_.counter("is2_serve_writeback_failures_total", {},
                                                  "async disk writes that threw");
+  writeback_skipped_total_ =
+      &registry_.counter("is2_serve_writeback_skipped_total", {},
+                         "disk write-backs not queued: the backlog was full");
+  writeback_pending_ = &registry_.gauge("is2_serve_writeback_pending", {},
+                                        "disk write-backs queued or running");
   const char* resumed_help = "builds seeded from a cached product instead of the shards";
   resumed_shallower_total_ = &registry_.counter("is2_serve_resumed_builds_total",
                                                 {{"seed", "shallower"}}, resumed_help);
@@ -250,7 +255,14 @@ void GranuleService::schedule_writeback(const ProductKey& key,
                                         std::shared_ptr<const GranuleProduct> product) {
   {
     util::MutexLock lock(writeback_mutex_);
-    ++writebacks_pending_;
+    // Each queued write-back pins a whole product. When builds outpace the
+    // disk, skip the write-back rather than grow the queue: the RAM tier
+    // holds the product, and the key rebuilds on a later miss.
+    if (writebacks_pending_ >= kMaxPendingWritebacks) {
+      writeback_skipped_total_->inc();
+      return;
+    }
+    writeback_pending_->set(static_cast<double>(++writebacks_pending_));
   }
   writeback_pool_->submit([this, key, product = std::move(product)] {
     // Bounded retry with backoff: a transient disk fault (injected
@@ -277,7 +289,7 @@ void GranuleService::schedule_writeback(const ProductKey& key,
     }
     {
       util::MutexLock lock(writeback_mutex_);
-      --writebacks_pending_;
+      writeback_pending_->set(static_cast<double>(--writebacks_pending_));
     }
     writeback_cv_.notify_all();
   });
@@ -511,6 +523,7 @@ ServiceMetrics GranuleService::metrics() const {
   }
   out.fast_hits = fast_hits_total_->value();
   out.writeback_failures = writeback_failures_total_->value();
+  out.writeback_skipped = writeback_skipped_total_->value();
   out.resumed_builds = resumed_shallower_total_->value() + resumed_sibling_total_->value();
   out.inference_batches = nn_backend_->batches();
   out.inference_windows = nn_backend_->windows();

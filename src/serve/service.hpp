@@ -25,7 +25,8 @@
 // IO — a RAM miss that disk-hits deserializes one file, promotes the
 // product to RAM and never touches the shards. Products built cold are
 // written back to disk asynchronously on a dedicated write-back thread, so
-// the build's caller never waits for disk. A coalescing `BatchScheduler`
+// the build's caller never waits for disk; a full write-back backlog skips
+// the write instead of queueing it. A coalescing `BatchScheduler`
 // makes cold keys single-flight, applies queue backpressure, and admits by
 // `Priority` class (weighted dequeue; background shed first under
 // saturation). Every builder stage, the shard load, disk hits and whole
@@ -127,6 +128,8 @@ struct ServiceMetrics {
   std::uint64_t requests = 0;   ///< submit + try_submit calls
   std::uint64_t fast_hits = 0;  ///< answered from RAM cache without dispatch
   std::uint64_t writeback_failures = 0;  ///< async disk writes that threw
+  /// Write-backs not queued because kMaxPendingWritebacks were pending.
+  std::uint64_t writeback_skipped = 0;
   std::uint64_t inference_batches = 0;
   std::uint64_t inference_windows = 0;
   obs::HistogramMetric::Snapshot load;       ///< shard read + preprocess + resample + FPB
@@ -197,6 +200,12 @@ class GranuleService {
   /// synchronously for requests naming Backend::decision_tree — the key
   /// cannot even be formed without the backend's identity.
   using TreeFactory = std::function<baseline::DecisionTree()>;
+
+  /// Most disk write-backs queued or running at once. A build that finds
+  /// the backlog full skips its write-back (counted in
+  /// is2_serve_writeback_skipped_total), so the queue's memory stays
+  /// bounded when builds outpace the disk.
+  static constexpr std::size_t kMaxPendingWritebacks = 64;
 
   GranuleService(const ServiceConfig& config, const core::PipelineConfig& pipeline,
                  const geo::GeoCorrections& corrections, ShardIndex index,
@@ -308,6 +317,8 @@ class GranuleService {
   std::array<obs::Counter*, kPriorityClasses> requests_total_{};
   obs::Counter* fast_hits_total_ = nullptr;
   obs::Counter* writeback_failures_total_ = nullptr;
+  obs::Counter* writeback_skipped_total_ = nullptr;
+  obs::Gauge* writeback_pending_ = nullptr;  ///< mirrors writebacks_pending_
   obs::Counter* resumed_shallower_total_ = nullptr;  ///< seed="shallower"
   obs::Counter* resumed_sibling_total_ = nullptr;    ///< seed="sibling"
   obs::HistogramMetric* stage_load_ = nullptr;
@@ -340,7 +351,8 @@ class GranuleService {
   DiskCache* disk_ = nullptr;
 
   // Asynchronous disk write-back: one thread so cold builds never wait for
-  // serialization + fsync-ish IO, with a drain counter for orderly restarts.
+  // serialization + fsync-ish IO, with a drain counter for orderly restarts
+  // that also caps the backlog at kMaxPendingWritebacks.
   util::Mutex writeback_mutex_;
   util::CondVar writeback_cv_;
   std::size_t writebacks_pending_ GUARDED_BY(writeback_mutex_) = 0;

@@ -45,13 +45,14 @@ std::vector<std::uint8_t> one_dataset_claiming(DType dtype, const std::vector<st
   for (const auto d : dims) body.raw(d);
   body.raw(nbytes);
   body.raw(std::uint32_t{0});  // no attributes
+  const auto payload = body.written();
   ByteWriter out;
   out.bytes(reinterpret_cast<const std::uint8_t*>("H5LT"), 4);
   out.raw(std::uint32_t{1});  // version
-  out.raw(static_cast<std::uint64_t>(body.buf.size()));
-  out.bytes(body.buf.data(), body.buf.size());
-  out.raw(crc32(body.buf));
-  return out.buf;
+  out.raw(static_cast<std::uint64_t>(payload.size()));
+  out.bytes(payload.data(), payload.size());
+  out.raw(crc32_bytewise(payload));
+  return out.release();
 }
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
@@ -163,16 +164,25 @@ TEST(H5Lite, Crc32CheckValues) {
 }
 
 TEST(H5Lite, Crc32MatchesBytewiseReference) {
-  // Every length 0-64 at every start offset 0-7 covers each word-loop count,
-  // each tail length and each alignment; one ~2 MB buffer covers bulk data.
-  const auto bytes = random_bytes(64 + 8, 7);
-  for (std::size_t offset = 0; offset < 8; ++offset)
-    for (std::size_t len = 0; len <= 64; ++len) {
+  // Every length 0-1024 at every start offset 0-15 covers the table path
+  // below 64 bytes, the 64-byte entry of the PCLMUL fold, every count of
+  // 16-byte folds after the 64-byte blocks, every table-path tail after them
+  // and every alignment; one ~2 MB buffer covers bulk data. The slicing-by-8
+  // kernel runs the same inputs on its own, so it stays checked on CPUs
+  // where crc32 folds with PCLMUL.
+  SCOPED_TRACE(std::string("crc32 kernel: ") + crc32_kernel());
+  const auto bytes = random_bytes(1024 + 16, 7);
+  for (std::size_t offset = 0; offset < 16; ++offset)
+    for (std::size_t len = 0; len <= 1024; ++len) {
       const std::span<const std::uint8_t> s(bytes.data() + offset, len);
-      EXPECT_EQ(crc32(s), crc32_bytewise(s)) << "offset " << offset << " length " << len;
+      const std::uint32_t want = crc32_bytewise(s);
+      ASSERT_EQ(crc32(s), want) << "offset " << offset << " length " << len;
+      ASSERT_EQ(detail::crc32_slicing8(s), want) << "offset " << offset << " length " << len;
     }
   const auto big = random_bytes((2u << 20) + 5, 11);
-  EXPECT_EQ(crc32(big), crc32_bytewise(big));
+  const std::uint32_t want = crc32_bytewise(big);
+  EXPECT_EQ(crc32(big), want);
+  EXPECT_EQ(detail::crc32_slicing8(big), want);
 }
 
 TEST(H5Lite, WrappedPayloadLengthRejected) {

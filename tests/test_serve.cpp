@@ -1,6 +1,8 @@
 // Serving subsystem tests: LRU product cache eviction/counters, the disk
-// cache tier (round-trip bit-identity, crash safety on corrupt/truncated/
-// stale files, byte-budget eviction, manifest rebuild across restarts),
+// cache tier (round-trip bit-identity, encoder bytes against a per-field
+// reference, every truncation and lying array counts as typed errors,
+// crash safety on corrupt/truncated/stale files, byte-budget eviction,
+// manifest rebuild across restarts, the bounded write-back backlog),
 // bounded + priority queue semantics (weighted dequeue, class-aware
 // displacement), request coalescing and backpressure in the scheduler,
 // priority-ordered shedding under saturation, cache-hit serving without
@@ -13,11 +15,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <span>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "baseline/decision_tree.hpp"
@@ -32,6 +37,7 @@
 #include "serve/product_cache.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/service.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -284,6 +290,138 @@ TEST_F(DiskCacheTest, SerializeRoundTripIsBitIdentical) {
   ProductKey other = key;
   other.config_hash ^= 1;
   EXPECT_THROW(DiskCache::deserialize(bytes, other), h5::H5Error);
+}
+
+/// The IS2P v2 layout written one field at a time through h5::ByteWriter,
+/// as the encoder did before it wrote each array as one block: the oracle
+/// the production encoder must match byte for byte.
+std::vector<std::uint8_t> serialize_per_field(const ProductKey& key,
+                                              const GranuleProduct& product) {
+  h5::ByteWriter body;
+  body.raw(static_cast<std::uint64_t>(product.segments.size()));
+  for (const auto& s : product.segments) {
+    body.raw(s.s); body.raw(s.t); body.raw(s.x); body.raw(s.y);
+    body.raw(s.h_mean); body.raw(s.h_median); body.raw(s.h_std); body.raw(s.h_min);
+    body.raw(s.n_photons); body.raw(s.photon_rate); body.raw(s.bckgrd_rate);
+    body.raw(static_cast<std::uint8_t>(s.truth));
+  }
+  body.raw(static_cast<std::uint64_t>(product.classes.size()));
+  for (const auto c : product.classes) body.raw(static_cast<std::uint8_t>(c));
+  const auto& surface = product.sea_surface.points();
+  body.raw(static_cast<std::uint64_t>(surface.size()));
+  for (const auto& p : surface) {
+    body.raw(p.s); body.raw(p.h_ref); body.raw(p.sigma);
+    body.raw(p.n_leads); body.raw(p.n_water_segments);
+    body.raw(static_cast<std::uint8_t>(p.interpolated));
+  }
+  body.raw(static_cast<std::uint64_t>(product.freeboard.points.size()));
+  for (const auto& p : product.freeboard.points) {
+    body.raw(p.s); body.raw(p.x); body.raw(p.y); body.raw(p.freeboard);
+    body.raw(static_cast<std::uint8_t>(p.cls));
+    body.raw(static_cast<std::uint8_t>(p.truth));
+  }
+
+  h5::ByteWriter out;
+  const char magic[4] = {'I', 'S', '2', 'P'};
+  out.bytes(reinterpret_cast<const std::uint8_t*>(magic), 4);
+  out.raw(DiskCache::kFormatVersion);
+  out.raw(key.config_hash);
+  out.raw(static_cast<std::uint8_t>(key.beam));
+  out.raw(static_cast<std::uint8_t>(key.kind));
+  out.raw(static_cast<std::uint8_t>(key.backend));
+  out.str(key.granule_id);
+  out.raw(static_cast<std::uint64_t>(body.written().size()));
+  out.bytes(body.written().data(), body.written().size());
+  out.raw(h5::crc32(body.written()));
+  return out.release();
+}
+
+/// rich_product cut to the artifacts of `kind`, under a matching key.
+std::pair<ProductKey, GranuleProduct> rich_product_of_kind(std::uint64_t seed,
+                                                           pipeline::ProductKind kind,
+                                                           std::size_t n = 64) {
+  GranuleProduct p = rich_product(seed, n);
+  p.kind = kind;
+  if (kind < pipeline::ProductKind::freeboard) p.freeboard = {};
+  if (kind < pipeline::ProductKind::seasurface) p.sea_surface = {};
+  ProductKey key{p.granule_id, p.beam, 0xC0FFEE00u + seed};
+  key.kind = kind;
+  return {key, std::move(p)};
+}
+
+TEST_F(DiskCacheTest, EncoderBytesMatchPerFieldReference) {
+  using pipeline::ProductKind;
+  for (const ProductKind kind :
+       {ProductKind::classification, ProductKind::seasurface, ProductKind::freeboard}) {
+    SCOPED_TRACE(pipeline::product_kind_name(kind));
+    const auto [key, p] = rich_product_of_kind(11, kind);
+    const auto bytes = DiskCache::serialize(key, p);
+    EXPECT_EQ(bytes, serialize_per_field(key, p));
+    expect_product_equal(DiskCache::deserialize(bytes, key), p);
+  }
+  GranuleProduct empty;
+  empty.granule_id = "ATL03_empty";
+  const ProductKey key{empty.granule_id, empty.beam, 5};
+  const auto bytes = DiskCache::serialize(key, empty);
+  EXPECT_EQ(bytes, serialize_per_field(key, empty));
+  const GranuleProduct back = DiskCache::deserialize(bytes, key);
+  EXPECT_TRUE(back.segments.empty());
+  EXPECT_TRUE(back.classes.empty());
+  EXPECT_TRUE(back.sea_surface.points().empty());
+  EXPECT_TRUE(back.freeboard.points.empty());
+}
+
+TEST_F(DiskCacheTest, EveryTruncationIsATypedError) {
+  const auto [key, p] = rich_product_of_kind(12, pipeline::ProductKind::freeboard, 6);
+  const auto bytes = DiskCache::serialize(key, p);
+  for (std::size_t len = 0; len < bytes.size(); ++len)
+    EXPECT_THROW(DiskCache::deserialize(std::span(bytes).first(len), key), h5::H5Error)
+        << "prefix of " << len << " of " << bytes.size() << " bytes";
+}
+
+TEST_F(DiskCacheTest, LyingArrayCountsAreTypedErrorsBeforeAllocation) {
+  // Each of the four u64 counts rewritten, with the CRC recomputed, so the
+  // per-array count check is what rejects the file: never std::bad_alloc.
+  // The lies: 2^64 - 1, one element more than the bytes left hold, and for
+  // an even element size the true count + 2^63, whose byte size wraps to
+  // the array's true size: only the count check stands between that file
+  // and a 2^63-element resize.
+  const auto [key, p] = rich_product_of_kind(13, pipeline::ProductKind::freeboard, 8);
+  const auto valid = DiskCache::serialize(key, p);
+  const std::size_t header = 4 + 4 + 8 + 1 + 1 + 1 + 4 + key.granule_id.size() + 8;
+  const std::size_t crc_at = valid.size() - 4;
+  struct Array {
+    const char* name;
+    std::size_t count;
+    std::size_t elem_bytes;
+  };
+  const Array arrays[] = {{"segments", p.segments.size(), 85},
+                          {"classes", p.classes.size(), 1},
+                          {"surface", p.sea_surface.points().size(), 33},
+                          {"freeboard", p.freeboard.points.size(), 34}};
+  std::size_t at = header;  // offset of the current array's count
+  for (const Array& a : arrays) {
+    SCOPED_TRACE(a.name);
+    const std::size_t left = crc_at - (at + 8);  // payload bytes behind the count
+    std::vector<std::uint64_t> lies = {~std::uint64_t{0}, left / a.elem_bytes + 1};
+    if (a.elem_bytes % 2 == 0) lies.push_back(a.count + (std::uint64_t{1} << 63));
+    for (const std::uint64_t lie : lies) {
+      auto bytes = valid;
+      std::memcpy(bytes.data() + at, &lie, sizeof lie);
+      const std::uint32_t crc =
+          h5::crc32(std::span(bytes).subspan(header, crc_at - header));
+      std::memcpy(bytes.data() + crc_at, &crc, sizeof crc);
+      try {
+        (void)DiskCache::deserialize(bytes, key);
+        ADD_FAILURE() << "count " << lie << " accepted";
+      } catch (const h5::H5Error&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "count " << lie << " threw " << e.what() << ", not h5::H5Error";
+      }
+    }
+    at += 8 + a.count * a.elem_bytes;
+  }
+  ASSERT_EQ(at, crc_at);  // the four arrays fill the payload
 }
 
 TEST_F(DiskCacheTest, PutGetAcrossRestartAndLruEviction) {
@@ -1493,15 +1631,15 @@ TEST_F(ServeCampaign, OldKeyLayoutDiskFileIsRejectedAfterFormatBump) {
   v1.raw(key.config_hash);
   v1.raw(static_cast<std::uint8_t>(key.beam));
   v1.str(key.granule_id);
-  v1.raw(static_cast<std::uint64_t>(payload.buf.size()));
-  v1.bytes(payload.buf.data(), payload.buf.size());
-  v1.raw(h5::crc32(payload.buf));
+  v1.raw(static_cast<std::uint64_t>(payload.written().size()));
+  v1.bytes(payload.written().data(), payload.written().size());
+  v1.raw(h5::crc32(payload.written()));
   const std::string path =
       (std::filesystem::path(disk_dir) / DiskCache::filename_for(key)).string();
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(v1.buf.data()),
-              static_cast<std::streamsize>(v1.buf.size()));
+    out.write(reinterpret_cast<const char*>(v1.written().data()),
+              static_cast<std::streamsize>(v1.written().size()));
   }
   ASSERT_TRUE(std::filesystem::exists(path));
 
@@ -1514,6 +1652,99 @@ TEST_F(ServeCampaign, OldKeyLayoutDiskFileIsRejectedAfterFormatBump) {
   EXPECT_EQ(response.source, ServedFrom::build);  // rebuilt, never served stale
   expect_bit_identical(*response.product,
                        batch_reference(BeamId::Gt3r, seasurface::Method::NasaEquation));
+}
+
+TEST_F(ServeCampaign, WritebackBacklogIsBoundedAndSkippedKeysRebuild) {
+  // A second copy of the granule under its own id doubles the servable
+  // beams: 2 granules x 3 beams x 2 backends x 9 (kind, method) keys = 108
+  // distinct builds, more than the write-back backlog holds.
+  const std::string root = dir_ + "/backlog";
+  std::filesystem::create_directories(root + "/shards");
+  core::ShardSet shards = *shards_;
+  atl03::Granule twin = pair_->granule;
+  twin.id += "-twin";
+  core::write_shards(twin, 0, /*chunks_per_beam=*/2, root + "/shards", shards);
+  const serve::ShardIndex index = serve::ShardIndex::build(shards.files);
+  serve::ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.disk_cache_dir = root + "/disk";
+  const auto make = [&] {
+    return std::make_unique<serve::GranuleService>(
+        cfg, *config_, campaign_->corrections(), index, &ServeCampaign::make_model, *scaler_,
+        [] { return *tree_; });
+  };
+
+  std::vector<ProductRequest> requests;
+  for (const std::string& id : {pair_->granule.id, twin.id})
+    for (const BeamId beam : {BeamId::Gt1r, BeamId::Gt2r, BeamId::Gt3r})
+      for (const auto backend : {pipeline::Backend::nn, pipeline::Backend::decision_tree}) {
+        ProductRequest r = request(beam);
+        r.granule_id = id;
+        r.backend = backend;
+        r.kind = pipeline::ProductKind::classification;
+        requests.push_back(r);
+        for (std::size_t m = 0; m < seasurface::kMethods; ++m)
+          for (const auto kind :
+               {pipeline::ProductKind::seasurface, pipeline::ProductKind::freeboard}) {
+            r.method = static_cast<seasurface::Method>(m);
+            r.kind = kind;
+            requests.push_back(r);
+          }
+      }
+  ASSERT_GT(requests.size(), serve::GranuleService::kMaxPendingWritebacks);
+
+  // Every disk write sleeps while the plan is armed, so the builds outrun
+  // the write-back thread and the backlog fills. Disarming lets the queued
+  // write-backs land at disk speed. The plan outlives the service's writes.
+  util::fault::Plan plan(31);
+  util::fault::SiteConfig slow_disk;
+  slow_disk.latency_ms = 2000.0;
+  plan.on("disk.write", slow_disk);
+  std::vector<std::shared_ptr<const GranuleProduct>> built;
+  std::uint64_t written = 0, skipped = 0;
+  {
+    auto service = make();
+    {
+      util::fault::Armed armed(plan);
+      for (const ProductRequest& r : requests) {
+        const ProductResponse response = service->submit(r).get();
+        ASSERT_NE(response.product, nullptr);
+        EXPECT_EQ(response.source, ServedFrom::build);
+        built.push_back(response.product);
+      }
+    }
+    service->wait_disk_writebacks();
+    const auto m = service->metrics();
+    EXPECT_GT(m.writeback_skipped, 0u);
+    EXPECT_EQ(m.disk.writes + m.writeback_skipped, requests.size());
+    EXPECT_EQ(m.writeback_failures, 0u);
+    written = m.disk.writes;
+    skipped = m.writeback_skipped;
+    const auto snap = service->obs_snapshot();
+    bool pending_exported = false;
+    for (const obs::MetricPoint& p : snap.points)
+      if (p.name == "is2_serve_writeback_pending") {
+        pending_exported = true;
+        EXPECT_EQ(p.value, 0.0);
+      }
+    EXPECT_TRUE(pending_exported);
+  }
+
+  // Restart over the same disk tier: every written key is a disk hit, every
+  // skipped key rebuilds, and each answer equals the first service's.
+  auto service = make();
+  std::uint64_t rebuilt = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const ProductResponse response = service->submit(requests[i]).get();
+    ASSERT_NE(response.product, nullptr);
+    rebuilt += response.source == ServedFrom::build;
+    expect_bit_identical(*response.product, *built[i]);
+  }
+  service->wait_disk_writebacks();
+  const auto m = service->metrics();
+  EXPECT_EQ(m.disk.hits, written);
+  EXPECT_EQ(rebuilt, skipped);
+  EXPECT_EQ(m.writeback_skipped, 0u);
 }
 
 TEST_F(ServeCampaign, UnknownGranuleYieldsBrokenFuture) {

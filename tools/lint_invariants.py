@@ -5,7 +5,7 @@ Usage:
     lint_invariants.py [--root DIR]    # lint the tree (default: repo root)
     lint_invariants.py --self-test     # prove every rule actually fires
 
-Four rules, each a contract stated in the docs that previously lived only
+Five rules, each a contract stated in the docs that previously lived only
 in review discipline:
 
   R1  obs metric names at Registry call sites are Prometheus-valid
@@ -31,8 +31,16 @@ in review discipline:
       can see, so a naked primitive is an unanalyzed critical section
       (docs/static-analysis.md).
 
+  R5  ISA-specific code only in src/h5lite/h5file.cpp: intrinsic headers
+      (<immintrin.h>, <x86intrin.h>, <*mmintrin.h>, <arm_neon.h>,
+      <arm_acle.h>), CPU feature probes (__builtin_cpu_supports / _is /
+      _init) and per-function target attributes (__attribute__((target(,
+      [[gnu::target(). Runtime SIMD dispatch is parked (ROADMAP); the CRC-32
+      PCLMUL fold is its one measured exception, and this rule keeps it from
+      spreading unreviewed. Checked across src/, bench/, examples/, tests/.
+
 `--self-test` copies a minimal tree into a tempdir, seeds one violation per
-rule, and asserts the linter exits nonzero having caught all four — CI runs
+rule, and asserts the linter exits nonzero having caught all five — CI runs
 this before the real lint so a silently-broken rule cannot pass the tree.
 
 Exit status: 0 clean, 1 on any violation (all violations are printed),
@@ -56,6 +64,16 @@ NAKED_SYNC_RE = re.compile(
     r"condition_variable(?:_any)?)\b"
 )
 THREAD_RE = re.compile(r"thread", re.IGNORECASE)
+INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
+ISA_HEADER_RE = re.compile(
+    r"[<\"]\s*(immintrin\.h|x86intrin\.h|\w*mmintrin\.h|arm_neon\.h|arm_acle\.h)\s*[>\"]"
+)
+ISA_CODE_RE = re.compile(
+    r"(__builtin_cpu_(?:supports|is|init)\b|"
+    r"__attribute__\s*\(\(\s*target(?:_clones)?\s*\(|"
+    r"\bgnu::target(?:_clones)?\s*\()"
+)
+ISA_ALLOWED = os.path.join("src", "h5lite", "h5file.cpp")
 
 CPP_EXTS = (".cpp", ".hpp", ".h", ".cc")
 
@@ -71,9 +89,10 @@ def iter_files(root: str, subdirs, exts=CPP_EXTS):
                     yield os.path.join(dirpath, name)
 
 
-def strip_comments_and_strings(text: str) -> str:
-    """Blank out //-comments, /* */-comments and string/char literals,
-    preserving line structure so reported line numbers stay true."""
+def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
+    """Blank out //-comments, /* */-comments and (unless keep_strings)
+    string/char literals, preserving line structure so reported line
+    numbers stay true."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -91,8 +110,9 @@ def strip_comments_and_strings(text: str) -> str:
             j = i + 1
             while j < n and text[j] != quote:
                 j += 2 if text[j] == "\\" else 1
-            i = min(j + 1, n)
-            out.append(" ")
+            end = min(j + 1, n)
+            out.append(text[i:end] if keep_strings else " ")
+            i = end
         else:
             out.append(c)
             i += 1
@@ -194,12 +214,38 @@ def check_r4_naked_primitives(root: str):
     return violations
 
 
+def check_r5_isa_code(root: str):
+    """R5: intrinsic headers, CPU probes and target attributes stay in the
+    one file that dispatches at run time (src/h5lite/h5file.cpp)."""
+    violations = []
+    for path in iter_files(root, ("src", "bench", "examples", "tests")):
+        if rel(root, path) == ISA_ALLOWED:
+            continue
+        with open(path, encoding="utf-8", errors="replace") as f:
+            text = f.read()
+        # Includes keep their quoted name; everything else is checked with
+        # string literals blanked, and both with comments blanked.
+        with_strings = strip_comments_and_strings(text, keep_strings=True).splitlines()
+        code = strip_comments_and_strings(text).splitlines()
+        for lineno, (line, bare) in enumerate(zip(with_strings, code), 1):
+            m = ISA_HEADER_RE.search(line) if INCLUDE_RE.match(bare) else None
+            m = m or ISA_CODE_RE.search(bare)
+            if m:
+                violations.append(
+                    f"R5 {rel(root, path)}:{lineno}: ISA-specific code "
+                    f"'{m.group(0).strip()}' outside {ISA_ALLOWED} — runtime SIMD "
+                    f"dispatch is parked (ROADMAP); CRC-32 is its one exception"
+                )
+    return violations
+
+
 def run_lint(root: str) -> int:
     violations = []
     violations += check_r1_metric_names(root)
     violations += check_r2_fault_sites(root)
     violations += check_r3_threading_contracts(root)
     violations += check_r4_naked_primitives(root)
+    violations += check_r5_isa_code(root)
     for v in violations:
         print(v)
     if violations:
@@ -210,10 +256,11 @@ def run_lint(root: str) -> int:
 
 
 def self_test() -> int:
-    """Seed one violation per rule in a scratch tree; all four must fire."""
+    """Seed one violation per rule in a scratch tree; all five must fire."""
     with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:
         os.makedirs(os.path.join(tmp, "src", "serve"))
         os.makedirs(os.path.join(tmp, "src", "util"))
+        os.makedirs(os.path.join(tmp, "src", "h5lite"))
         os.makedirs(os.path.join(tmp, "docs"))
         with open(os.path.join(tmp, "docs", "robustness.md"), "w") as f:
             f.write("# Robustness\n\nFault sites: `disk.read`.\n")
@@ -237,23 +284,44 @@ def self_test() -> int:
         # R4: a real naked primitive.
         with open(os.path.join(tmp, "src", "serve", "naked.cpp"), "w") as f:
             f.write("#include <mutex>\nstd::mutex g_lock;\n")
+        # R5: an intrinsic header outside the allowed file, then a decoy
+        # naming all three forms only in comments and strings, then the
+        # allowed file itself using them for real.
+        with open(os.path.join(tmp, "src", "serve", "simd.cpp"), "w") as f:
+            f.write("#include <immintrin.h>\n")
+        with open(os.path.join(tmp, "src", "util", "decoy.cpp"), "w") as f:
+            f.write(
+                "// #include <immintrin.h> and __builtin_cpu_supports(\"avx2\")\n"
+                'const char* kNote = "__attribute__((target(\\"avx2\\")))";\n'
+            )
+        with open(os.path.join(tmp, "src", "h5lite", "h5file.cpp"), "w") as f:
+            f.write(
+                "#include <immintrin.h>\n"
+                '__attribute__((target("pclmul,sse4.1"))) int fold();\n'
+                'bool ok = __builtin_cpu_supports("pclmul");\n'
+            )
 
         found = []
         found += check_r1_metric_names(tmp)
         found += check_r2_fault_sites(tmp)
         found += check_r3_threading_contracts(tmp)
         found += check_r4_naked_primitives(tmp)
+        found += check_r5_isa_code(tmp)
         for v in found:
             print(f"  seeded: {v}")
 
         fired = {v.split()[0] for v in found}
-        missing = {"R1", "R2", "R3", "R4"} - fired
+        missing = {"R1", "R2", "R3", "R4", "R5"} - fired
         if missing:
             print(f"self-test FAILED: rule(s) did not fire: {sorted(missing)}")
             return 1
         r4_hits = [v for v in found if v.startswith("R4")]
         if any("silent.hpp" in v for v in r4_hits):
             print("self-test FAILED: R4 fired on a comment/string occurrence")
+            return 1
+        r5_files = {v.split()[1].rsplit(":", 2)[0] for v in found if v.startswith("R5")}
+        if r5_files != {os.path.join("src", "serve", "simd.cpp")}:
+            print("self-test FAILED: R5 fired on a comment/string or the allowed file")
             return 1
         if run_lint_exit_nonzero(tmp) != 1:
             print("self-test FAILED: lint on a seeded tree must exit 1")
