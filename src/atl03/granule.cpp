@@ -1,5 +1,6 @@
 #include "atl03/granule.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace is2::atl03 {
@@ -12,6 +13,13 @@ void BeamData::check_consistent() const {
     throw std::invalid_argument("BeamData: per-photon arrays have inconsistent lengths");
   if (bckgrd_delta_time.size() != bckgrd_rate.size())
     throw std::invalid_argument("BeamData: background arrays have inconsistent lengths");
+  // Preprocess interpolates the rates by binary search over these times.
+  for (std::size_t i = 0; i < bckgrd_delta_time.size(); ++i) {
+    if (!std::isfinite(bckgrd_delta_time[i]))
+      throw std::invalid_argument("BeamData: background bin time is not finite");
+    if (i > 0 && bckgrd_delta_time[i] < bckgrd_delta_time[i - 1])
+      throw std::invalid_argument("BeamData: background bin times decrease");
+  }
 }
 
 const BeamData& Granule::beam(BeamId id) const {

@@ -33,7 +33,9 @@ struct BeamData {
   std::vector<std::uint8_t> truth_class;  ///< SurfaceClass per photon
 
   std::size_t size() const { return h.size(); }
-  /// All per-photon arrays share one length; throws if inconsistent.
+  /// All per-photon arrays share one length, the two background arrays
+  /// share one, and the background bin times are finite and do not
+  /// decrease; throws std::invalid_argument otherwise.
   void check_consistent() const;
 };
 

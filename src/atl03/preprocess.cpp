@@ -39,12 +39,16 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
   out.track_heading = granule.track_heading;
   out.epoch_time = granule.epoch_time;
 
-  // Confidence filter + projection + geophysical correction.
+  // Confidence filter + projection + geophysical correction. A photon whose
+  // along-track distance or time is not finite cannot be placed on the
+  // track (nor sorted, binned or given a background rate), so it goes too.
   const auto n = beam.size();
   std::vector<std::size_t> keep;
   keep.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    if (beam.signal_conf[i] >= static_cast<std::int8_t>(config.min_conf)) keep.push_back(i);
+    if (beam.signal_conf[i] >= static_cast<std::int8_t>(config.min_conf) &&
+        std::isfinite(beam.along_track[i]) && std::isfinite(beam.delta_time[i]))
+      keep.push_back(i);
 
   // Sort by along-track distance (footprint jitter makes raw order ragged).
   std::sort(keep.begin(), keep.end(),
@@ -73,9 +77,11 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
   // The photons are sorted, so each occupied bin is one contiguous run;
   // memory is per run, not per bin of the along-track span, which a gap
   // can make arbitrarily long.
+  // A finite but absurd distance (1e300 m) would overflow the cast, so bin
+  // numbers stop at 2^63: no real track comes near.
   const double s0 = out.s.front();
   const auto bin_of = [&](std::size_t i) {
-    return static_cast<std::size_t>((out.s[i] - s0) / config.outlier_bin_m);
+    return static_cast<std::size_t>(std::min((out.s[i] - s0) / config.outlier_bin_m, 0x1p63));
   };
   std::vector<std::size_t> run_end;  // one past each run's last photon
   std::vector<double> run_median;

@@ -116,15 +116,11 @@ std::string to_json(const RegistrySnapshot& snapshot) {
     out += "}";
     if (p.type == MetricType::histogram) {
       const auto& s = p.histogram.stats;
-      const double p50 =
-          std::pow(10.0, util::histogram_quantile(p.histogram.histogram, 0.50));
-      const double p99 =
-          std::pow(10.0, util::histogram_quantile(p.histogram.histogram, 0.99));
       appendf(out,
               ",\"count\":%zu,\"sum_ms\":%.17g,\"mean_ms\":%.17g,\"min_ms\":%.17g,"
               "\"max_ms\":%.17g,\"p50_ms\":%.17g,\"p99_ms\":%.17g",
-              s.count(), s.sum(), s.mean(), s.min(), s.max(), s.count() ? p50 : 0.0,
-              s.count() ? p99 : 0.0);
+              s.count(), s.sum(), s.mean(), s.min(), s.max(), p.histogram.p50_ms(),
+              p.histogram.p99_ms());
     } else {
       appendf(out, ",\"value\":%.17g", p.value);
     }

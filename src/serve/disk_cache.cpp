@@ -107,6 +107,16 @@ Array read_array(h5::ByteReader& r, std::size_t elem_bytes) {
   return {count, r.take(count * elem_bytes)};
 }
 
+/// The key of an entry's beam group: granule, beam and backend, with
+/// config_hash and kind at their defaults.
+ProductKey beam_of(const ProductKey& key) {
+  ProductKey beam;
+  beam.granule_id = key.granule_id;
+  beam.beam = key.beam;
+  beam.backend = key.backend;
+  return beam;
+}
+
 }  // namespace
 
 std::string DiskCache::filename_for(const ProductKey& key) {
@@ -228,6 +238,8 @@ DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
   writes_total_ = &reg.counter("is2_cache_writes_total", tier, "successful put publishes");
   evictions_total_ =
       &reg.counter("is2_cache_evictions_total", tier, "files deleted by byte budget");
+  seed_evictions_total_ = &reg.counter("is2_cache_seed_evictions_total", tier,
+                                       "evictions that removed a beam's last resident product");
   corrupt_total_ = &reg.counter("is2_cache_corrupt_dropped_total", tier,
                                 "stale/corrupt/partial files deleted");
   read_retries_total_ = &reg.counter("is2_cache_read_retries_total", tier,
@@ -289,6 +301,7 @@ DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
   for (auto& f : found) {
     if (index_.count(f.entry.key)) continue;  // duplicate key: keep the newest
     bytes_ += f.entry.bytes;
+    ++beam_entries_[beam_of(f.entry.key)];
     f.entry.gen = next_gen_++;
     lru_.push_back(std::move(f.entry));
     index_[lru_.back().key] = std::prev(lru_.end());
@@ -300,17 +313,32 @@ void DiskCache::drop_entry_locked(std::list<Entry>::iterator it, bool corrupt) {
   std::error_code ec;
   fs::remove(it->path, ec);
   bytes_ -= it->bytes;
+  const auto group = beam_entries_.find(beam_of(it->key));
+  const bool last = --group->second == 0;
+  if (last) beam_entries_.erase(group);
   index_.erase(it->key);
   lru_.erase(it);
-  if (corrupt)
+  if (corrupt) {
     corrupt_total_->inc();
-  else
+  } else {
     evictions_total_->inc();
+    if (last) seed_evictions_total_->inc();
+  }
 }
 
 void DiskCache::evict_over_budget_locked() {
-  while (bytes_ > config_.byte_budget && lru_.size() > 1)
-    drop_entry_locked(std::prev(lru_.end()), /*corrupt=*/false);
+  // Each step evicts an entry or marks an unmarked one, so the loop ends.
+  // An entry starts unmarked and only a read clears its mark, so the marks
+  // cost amortized O(1) per put or read.
+  while (bytes_ > config_.byte_budget && lru_.size() > 1) {
+    const auto victim = std::prev(lru_.end());
+    if (!victim->spared && beam_entries_.at(beam_of(victim->key)) == 1) {
+      victim->spared = true;  // the beam's seed: one more pass through the LRU
+      lru_.splice(lru_.begin(), lru_, victim);
+    } else {
+      drop_entry_locked(victim, /*corrupt=*/false);
+    }
+  }
 }
 
 std::shared_ptr<const GranuleProduct> DiskCache::get(const ProductKey& key) {
@@ -393,7 +421,10 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
 
   util::MutexLock lock(mutex_);
   const auto it = index_.find(key);
-  if (it != index_.end()) lru_.splice(lru_.begin(), lru_, it->second);  // refresh
+  if (it != index_.end()) {  // refresh; a read seed earns another pass
+    lru_.splice(lru_.begin(), lru_, it->second);
+    it->second->spared = false;
+  }
   if (count_stats) hits_total_->inc();
   return product;
 }
@@ -442,6 +473,8 @@ void DiskCache::put(const ProductKey& key, const GranuleProduct& product) {
     bytes_ -= it->second->bytes;
     lru_.erase(it->second);
     index_.erase(it);
+  } else {
+    ++beam_entries_[beam_of(key)];
   }
   lru_.push_front(Entry{key, path, bytes.size(), next_gen_++});
   index_[key] = lru_.begin();
@@ -461,6 +494,7 @@ DiskCacheStats DiskCache::stats() const {
   out.misses = misses_total_->value();
   out.writes = writes_total_->value();
   out.evictions = evictions_total_->value();
+  out.seed_evictions = seed_evictions_total_->value();
   out.corrupt_dropped = corrupt_total_->value();
   out.disk_read_retries = read_retries_total_->value();
   {
@@ -481,6 +515,7 @@ void DiskCache::clear() {
   }
   lru_.clear();
   index_.clear();
+  beam_entries_.clear();
   bytes_ = 0;
 }
 

@@ -31,7 +31,11 @@
 //    wrong-version file is deleted on probe and reported as a miss.
 //  * The directory is byte-budgeted: an LRU manifest (rebuilt from file
 //    headers at startup, ordered by mtime) evicts least-recently-used files
-//    until the directory fits.
+//    until the directory fits, with one exception: a beam's last resident
+//    product (per granule, beam and backend) is the seed every later miss on
+//    that beam resumes from, so at the LRU end it is moved back to the MRU
+//    end once before it can go. A read clears that mark; an unread seed is
+//    evicted on its second pass (counted in `seed_evictions`).
 #pragma once
 
 #include <cstddef>
@@ -75,6 +79,10 @@ struct DiskCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t writes = 0;            ///< successful put() publishes
   std::uint64_t evictions = 0;         ///< files deleted by the byte budget
+  /// Evictions that removed a beam's last resident product: the beam's next
+  /// miss rebuilds from shards. A rising count means the budget holds less
+  /// than one product per live beam.
+  std::uint64_t seed_evictions = 0;
   std::uint64_t corrupt_dropped = 0;   ///< stale/corrupt/partial files deleted
   std::uint64_t disk_read_retries = 0; ///< failed reads retried before the drop path
   std::size_t bytes = 0;               ///< resident on-disk bytes
@@ -103,7 +111,8 @@ class DiskCache {
   DiskCache(const DiskCache&) = delete;
   DiskCache& operator=(const DiskCache&) = delete;
 
-  /// Probe + deserialize; refreshes LRU position on hit. Any unreadable file
+  /// Probe + deserialize; refreshes LRU position on hit and clears the
+  /// entry's seed mark (see the eviction rule above). Any unreadable file
   /// (truncated, bad CRC, wrong version, key mismatch) is deleted and
   /// reported as a miss — a corrupt entry is never served. The file read
   /// and deserialization run outside the manifest lock (snapshot-then-read),
@@ -125,7 +134,8 @@ class DiskCache {
     read_hook_ = std::move(hook);
   }
 
-  /// Serialize + atomically publish, then evict LRU files over budget.
+  /// Serialize + atomically publish, then evict LRU files over budget (a
+  /// beam's last unmarked product is spared once; see above).
   /// Blocks for the file write; errors (e.g. disk full) throw.
   void put(const ProductKey& key, const GranuleProduct& product);
 
@@ -171,6 +181,9 @@ class DiskCache {
     /// healthy file a concurrent put() republished at the same path" — the
     /// generation can, and the corrupt-drop path in get() checks it.
     std::uint64_t gen = 0;
+    /// Moved back to the MRU end once as its beam's last resident product;
+    /// cleared by a read.
+    bool spared = false;
   };
 
   void evict_over_budget_locked() REQUIRES(mutex_);
@@ -183,6 +196,9 @@ class DiskCache {
   std::list<Entry> lru_ GUARDED_BY(mutex_);  ///< front = most recently used
   std::unordered_map<ProductKey, std::list<Entry>::iterator, ProductKeyHash> index_
       GUARDED_BY(mutex_);
+  /// Resident entries per (granule, beam, backend), keyed by a ProductKey
+  /// whose config_hash and kind stay at their defaults; absent = none.
+  std::unordered_map<ProductKey, std::size_t, ProductKeyHash> beam_entries_ GUARDED_BY(mutex_);
   std::size_t bytes_ GUARDED_BY(mutex_) = 0;
   std::uint64_t next_gen_ GUARDED_BY(mutex_) = 1;  ///< publish generation source
 
@@ -193,6 +209,7 @@ class DiskCache {
   obs::Counter* misses_total_ = nullptr;
   obs::Counter* writes_total_ = nullptr;
   obs::Counter* evictions_total_ = nullptr;
+  obs::Counter* seed_evictions_total_ = nullptr;
   obs::Counter* corrupt_total_ = nullptr;
   obs::Counter* read_retries_total_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;

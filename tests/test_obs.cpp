@@ -6,8 +6,8 @@
 // structural check of the Perfetto export for one cold freeboard build
 // (root + queue_wait + all seven pipeline stage spans, correctly nested),
 // cache-tier counters exact in the registry without a stats() refresh,
-// histogram percentile estimates vs exact order statistics, and the
-// util::logf sink/prefix contract.
+// histogram percentile estimates vs exact order statistics (and the JSON
+// export reporting the same ones), and the util::logf sink/prefix contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -271,6 +271,23 @@ TEST(HistogramPercentiles, DegenerateDistributionIsExact) {
   EXPECT_DOUBLE_EQ(lat.p50_ms(), 5.0);
   EXPECT_DOUBLE_EQ(lat.p99_ms(), 5.0);
   EXPECT_EQ(HistogramMetric::Snapshot{}.p99_ms(), 0.0);  // no samples
+}
+
+TEST(HistogramPercentiles, JsonExportReportsTheSnapshotQuantiles) {
+  Registry reg;
+  HistogramMetric& h = reg.histogram("is2_test_latency_ms");
+  for (int i = 0; i < 100; ++i) h.observe(5.0);
+  const std::string json = obs::to_json(reg.snapshot());
+  const auto field = [&json](const char* name) {
+    const std::string key = std::string("\"") + name + "\":";
+    const std::size_t at = json.find(key);
+    EXPECT_NE(at, std::string::npos) << name;
+    return at == std::string::npos ? -1.0 : std::stod(json.substr(at + key.size()));
+  };
+  const HistogramMetric::Snapshot snap = h.snapshot();
+  EXPECT_EQ(field("p50_ms"), snap.p50_ms());  // 5, not a bin interpolation below the min
+  EXPECT_EQ(field("p99_ms"), snap.p99_ms());
+  EXPECT_EQ(field("min_ms"), 5.0);
 }
 
 TEST(HistogramPercentiles, TracksExactOrderStatisticsWithinBinResolution) {

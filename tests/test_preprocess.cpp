@@ -1,11 +1,14 @@
 // Preprocessing tests: confidence filtering, geophysical correction,
 // outlier rejection (bit-identical to the per-bin reference filter, with NaN
-// heights, gaps and a photon far along the track) and along-track ordering.
+// heights, gaps and a photon far along the track), along-track ordering,
+// photons with non-finite times or positions, and malformed background bins.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "atl03/photon_sim.hpp"
@@ -259,7 +262,8 @@ TEST(Preprocess, OutlierFilterMatchesPerBinReferenceWithNanHeightsAndGaps) {
 TEST(Preprocess, DistantPhotonCostsNoPerBinAllocation) {
   // Three photons, one 1e11 m along the track: per-bin storage over that
   // span would be 4e9 bins. Each photon sits alone or with its neighbour
-  // in its bin, so all three are kept.
+  // in its bin, so all three are kept. At ±1e300 m the distance is finite
+  // but its bin number is no size_t.
   Fixture fx;
   const auto& raw = fx.granule.beam(BeamId::Gt2r);
   atl03::BeamData beam;
@@ -271,10 +275,98 @@ TEST(Preprocess, DistantPhotonCostsNoPerBinAllocation) {
     beam.h.push_back(0.1 * static_cast<double>(i));
     beam.signal_conf.push_back(static_cast<std::int8_t>(SignalConf::High));
   }
-  beam.along_track = {0.0, 1.0, 1e11};
-  const auto pre = atl03::preprocess_beam(fx.granule, beam, fx.corrections);
-  ASSERT_EQ(pre.size(), 3u);
-  EXPECT_EQ(pre.s[2], 1e11);
+  for (const std::vector<double>& along : {std::vector<double>{0.0, 1.0, 1e11},
+                                           std::vector<double>{-1e300, 0.0, 1e300}}) {
+    beam.along_track = along;
+    const auto pre = atl03::preprocess_beam(fx.granule, beam, fx.corrections);
+    ASSERT_EQ(pre.size(), 3u);
+    EXPECT_EQ(pre.s, along);
+  }
+}
+
+/// `beam` without the photons at the ascending indices `drop`.
+atl03::BeamData without_photons(const atl03::BeamData& beam,
+                                const std::vector<std::size_t>& drop) {
+  atl03::BeamData out = beam;
+  out.delta_time.clear();
+  out.lat.clear();
+  out.lon.clear();
+  out.h.clear();
+  out.along_track.clear();
+  out.signal_conf.clear();
+  out.truth_class.clear();
+  for (std::size_t i = 0, d = 0; i < beam.size(); ++i) {
+    if (d < drop.size() && drop[d] == i) {
+      ++d;
+      continue;
+    }
+    out.delta_time.push_back(beam.delta_time[i]);
+    out.lat.push_back(beam.lat[i]);
+    out.lon.push_back(beam.lon[i]);
+    out.h.push_back(beam.h[i]);
+    out.along_track.push_back(beam.along_track[i]);
+    out.signal_conf.push_back(beam.signal_conf[i]);
+    if (!beam.truth_class.empty()) out.truth_class.push_back(beam.truth_class[i]);
+  }
+  return out;
+}
+
+TEST(Preprocess, PhotonsWithNonFiniteTimeOrAlongTrackAreDropped) {
+  // Such a photon cannot be placed on the track. A beam holding some must
+  // preprocess exactly like the same beam without them, column for column.
+  Fixture fx;
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bad_values[] = {nan, inf, -inf};
+
+  // Every 97th high-confidence photon, the first one included, cycling
+  // through {time, along-track} × {NaN, +inf, -inf}.
+  auto poisoned = raw;
+  std::vector<std::size_t> drop;
+  for (std::size_t i = 0, high = 0; i < raw.size(); ++i) {
+    if (raw.signal_conf[i] < static_cast<std::int8_t>(SignalConf::High)) continue;
+    if (high++ % 97 != 0) continue;
+    const std::size_t k = drop.size();
+    (k % 2 == 0 ? poisoned.delta_time : poisoned.along_track)[i] = bad_values[k / 2 % 3];
+    drop.push_back(i);
+  }
+  ASSERT_GE(drop.size(), 6u);
+
+  const auto got = atl03::preprocess_beam(fx.granule, poisoned, fx.corrections);
+  const auto expected =
+      atl03::preprocess_beam(fx.granule, without_photons(raw, drop), fx.corrections);
+  ASSERT_GT(expected.size(), 0u);
+  expect_same_bits(got.s, expected.s, "s");
+  expect_same_bits(got.h, expected.h, "h");
+  expect_same_bits(got.t, expected.t, "t");
+  expect_same_bits(got.x, expected.x, "x");
+  expect_same_bits(got.y, expected.y, "y");
+  expect_same_bits(got.bckgrd_rate, expected.bckgrd_rate, "bckgrd_rate");
+  EXPECT_EQ(got.truth_class, expected.truth_class);
+}
+
+TEST(Preprocess, MalformedBackgroundBinTimesAreRejected) {
+  // The rate interpolation binary-searches these times: a NaN bin sent it
+  // before the first bin, and a decreasing pair breaks its precondition.
+  Fixture fx;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  ASSERT_GT(raw.bckgrd_delta_time.size(), 4u);
+  EXPECT_NO_THROW(raw.check_consistent());
+  std::vector<atl03::BeamData> cases(5, raw);
+  cases[0].bckgrd_delta_time[0] = nan;
+  cases[1].bckgrd_delta_time[3] = nan;
+  cases[2].bckgrd_delta_time[0] = -inf;
+  cases[3].bckgrd_delta_time.back() = inf;
+  std::swap(cases[4].bckgrd_delta_time[2], cases[4].bckgrd_delta_time[3]);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(c);
+    EXPECT_THROW(cases[c].check_consistent(), std::invalid_argument);
+    EXPECT_THROW(atl03::preprocess_beam(fx.granule, cases[c], fx.corrections),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Preprocess, EmptyBeamYieldsEmptyResult) {

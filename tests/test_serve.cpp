@@ -1,8 +1,9 @@
 // Serving subsystem tests: LRU product cache eviction/counters, the disk
 // cache tier (round-trip bit-identity, encoder bytes against a per-field
 // reference, every truncation and lying array counts as typed errors,
-// crash safety on corrupt/truncated/stale files, byte-budget eviction,
-// manifest rebuild across restarts, the bounded write-back backlog),
+// crash safety on corrupt/truncated/stale files, byte-budget eviction and
+// the one extra pass it gives each beam's last product, manifest rebuild
+// across restarts, the bounded write-back backlog),
 // bounded + priority queue semantics (weighted dequeue, class-aware
 // displacement), request coalescing and backpressure in the scheduler,
 // priority-ordered shedding under saturation, cache-hit serving without
@@ -522,6 +523,131 @@ TEST_F(DiskCacheTest, StartupScanDropsPartialAndStaleFiles) {
   auto got = reopened.get(key);
   ASSERT_NE(got, nullptr);
   expect_product_equal(*got, p);
+}
+
+// Seed-aware eviction. A beam group is (granule, beam, backend): keys of one
+// granule id below share a beam, whatever their config hash. Granule ids
+// have equal length, so every file has the same size and budgets count files.
+
+ProductKey beam_key(const char* granule, std::uint64_t config_hash) {
+  return ProductKey{granule, BeamId::Gt1r, config_hash};
+}
+
+std::size_t budget_for_files(std::size_t files) {
+  const std::size_t file_bytes =
+      DiskCache::serialize(beam_key("ATL03_A", 1), rich_product(0)).size();
+  return file_bytes * files + file_bytes / 2;
+}
+
+TEST_F(DiskCacheTest, BeamsLastProductIsSparedAtTheLruEnd) {
+  // B1 is its beam's only product, A1 and A2 share a beam. The fourth put
+  // finds B1 at the LRU end: it is spared, and A1 goes in its place.
+  const GranuleProduct p = rich_product(0);
+  const ProductKey b1 = beam_key("ATL03_B", 1), a1 = beam_key("ATL03_A", 1),
+                   a2 = beam_key("ATL03_A", 2), c1 = beam_key("ATL03_C", 1);
+  DiskCache cache({dir_, budget_for_files(3)});
+  for (const ProductKey& k : {b1, a1, a2, c1}) cache.put(k, p);
+  EXPECT_TRUE(cache.contains(b1));
+  EXPECT_FALSE(cache.contains(a1));
+  EXPECT_TRUE(cache.contains(a2));
+  EXPECT_TRUE(cache.contains(c1));
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.seed_evictions, 0u);
+  EXPECT_LE(stats.bytes, cache.byte_budget());
+}
+
+TEST_F(DiskCacheTest, UnreadSeedIsEvictedOnItsSecondPass) {
+  const GranuleProduct p = rich_product(0);
+  const ProductKey b1 = beam_key("ATL03_B", 1), a1 = beam_key("ATL03_A", 1),
+                   a2 = beam_key("ATL03_A", 2), a3 = beam_key("ATL03_A", 3),
+                   a4 = beam_key("ATL03_A", 4), c1 = beam_key("ATL03_C", 1);
+  DiskCache cache({dir_, budget_for_files(3)});
+  for (const ProductKey& k : {b1, a1, a2, c1}) cache.put(k, p);  // B1 spared, A1 out
+  cache.put(a3, p);  // A2 out: beam A keeps A3
+  EXPECT_TRUE(cache.contains(b1));
+  EXPECT_FALSE(cache.contains(a2));
+  cache.put(a4, p);  // C1 spared once; B1, already spared and never read, goes
+  EXPECT_FALSE(cache.contains(b1));
+  EXPECT_TRUE(cache.contains(c1));
+  EXPECT_TRUE(cache.contains(a3));
+  EXPECT_TRUE(cache.contains(a4));
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 3u);       // A1, A2, B1
+  EXPECT_EQ(stats.seed_evictions, 1u);  // B1 was its beam's last product
+}
+
+TEST_F(DiskCacheTest, PeekBetweenPassesEarnsTheSeedAnotherPass) {
+  // The same traffic as above, but the service's resume probe reads B1
+  // (a speculative peek) after its first pass: B1 is spared again.
+  const GranuleProduct p = rich_product(0);
+  const ProductKey b1 = beam_key("ATL03_B", 1), a1 = beam_key("ATL03_A", 1),
+                   a2 = beam_key("ATL03_A", 2), a3 = beam_key("ATL03_A", 3),
+                   a4 = beam_key("ATL03_A", 4), c1 = beam_key("ATL03_C", 1);
+  DiskCache cache({dir_, budget_for_files(3)});
+  for (const ProductKey& k : {b1, a1, a2, c1}) cache.put(k, p);
+  ASSERT_NE(cache.peek(b1), nullptr);
+  cache.put(a3, p);
+  cache.put(a4, p);  // C1 and B1 spared; A3 goes
+  EXPECT_TRUE(cache.contains(b1));
+  EXPECT_TRUE(cache.contains(c1));
+  EXPECT_FALSE(cache.contains(a3));
+  EXPECT_TRUE(cache.contains(a4));
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.seed_evictions, 0u);
+  EXPECT_EQ(stats.hits, 0u);  // a peek is not a client lookup
+}
+
+TEST_F(DiskCacheTest, RestartRebuildsBeamCountsAndStartsUnspared) {
+  const GranuleProduct p = rich_product(0);
+  const ProductKey b1 = beam_key("ATL03_B", 1), a1 = beam_key("ATL03_A", 1),
+                   a2 = beam_key("ATL03_A", 2), a3 = beam_key("ATL03_A", 3),
+                   c1 = beam_key("ATL03_C", 1), d1 = beam_key("ATL03_D", 1);
+  {
+    DiskCache cache({dir_, budget_for_files(4)});
+    for (const ProductKey& k : {b1, a1, a2, a3, c1}) cache.put(k, p);  // B1 spared, A1 out
+    ASSERT_TRUE(cache.contains(b1));
+    ASSERT_FALSE(cache.contains(a1));
+  }
+  // The startup scan orders by mtime: make B1 the oldest file, so it is at
+  // the LRU end again.
+  const auto now = std::filesystem::file_time_type::clock::now();
+  int age = 4;
+  for (const ProductKey& k : {b1, a2, a3, c1})
+    std::filesystem::last_write_time(path_for(k), now - std::chrono::minutes(age--));
+
+  DiskCache reopened({dir_, budget_for_files(4)});
+  EXPECT_EQ(reopened.stats().entries, 4u);
+  // B1's mark did not survive the restart, and the counts read from the
+  // file headers say B1 is its beam's last product and A2 is not.
+  reopened.put(d1, p);
+  EXPECT_TRUE(reopened.contains(b1));
+  EXPECT_FALSE(reopened.contains(a2));
+  EXPECT_TRUE(reopened.contains(a3));
+  EXPECT_EQ(reopened.stats().evictions, 1u);
+  EXPECT_EQ(reopened.stats().seed_evictions, 0u);
+}
+
+TEST_F(DiskCacheTest, StaleProductOfABeamGoesBeforeItsFreshOne) {
+  // Beam B holds a product under an older config hash and a fresh one. The
+  // group is the beam, not the config: the stale file is not a seed and
+  // goes first, and then the fresh one is the seed.
+  const GranuleProduct p = rich_product(0);
+  const ProductKey b_stale = beam_key("ATL03_B", 1), b_fresh = beam_key("ATL03_B", 2),
+                   a1 = beam_key("ATL03_A", 1), a2 = beam_key("ATL03_A", 2),
+                   c1 = beam_key("ATL03_C", 1), d1 = beam_key("ATL03_D", 1);
+  DiskCache cache({dir_, budget_for_files(4)});
+  for (const ProductKey& k : {b_stale, b_fresh, a1, a2}) cache.put(k, p);
+  cache.put(c1, p);
+  EXPECT_FALSE(cache.contains(b_stale));
+  EXPECT_TRUE(cache.contains(a1));
+  cache.put(d1, p);  // B's fresh product is now its seed: spared, A1 goes
+  EXPECT_TRUE(cache.contains(b_fresh));
+  EXPECT_FALSE(cache.contains(a1));
+  EXPECT_TRUE(cache.contains(a2));
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(cache.stats().seed_evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1540,6 +1666,59 @@ TEST_F(ServeCampaign, SiblingOnDiskSeedsEveryKindAndMethodAcrossRestart) {
   };
   EXPECT_EQ(resumed_by("sibling"), 3.0);
   EXPECT_EQ(resumed_by("shallower"), 0.0);
+}
+
+TEST_F(ServeCampaign, DiskBudgetKeepsEachBeamsLastProductAsASeed) {
+  // Warm-up writes one freeboard product per beam, Gt3r's oldest. The
+  // restarted service's disk budget holds those three files and half of
+  // another, so each new product evicts one. Plain LRU would evict Gt3r's
+  // only product for the first new Gt1r product, and the next Gt3r miss
+  // would rebuild from the shards. Kept as Gt3r's seed, it resumes.
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.disk_cache_dir = dir_ + "/disk_seed";
+  std::vector<std::string> warm_paths;  // oldest first
+  {
+    auto service = make_service(cfg);
+    for (const BeamId beam : {BeamId::Gt3r, BeamId::Gt2r, BeamId::Gt1r}) {
+      ASSERT_NE(service->submit(request(beam)).get().product, nullptr);
+      warm_paths.push_back(cfg.disk_cache_dir + "/" +
+                           DiskCache::filename_for(service->key_for(request(beam))));
+    }
+    service->wait_disk_writebacks();
+    const std::size_t warm_bytes = service->metrics().disk.bytes;
+    cfg.disk_cache_bytes = warm_bytes + warm_bytes / 6;
+  }
+  const auto now = std::filesystem::file_time_type::clock::now();
+  for (std::size_t i = 0; i < warm_paths.size(); ++i)
+    std::filesystem::last_write_time(
+        warm_paths[i], now - std::chrono::minutes(static_cast<int>(warm_paths.size() - i)));
+
+  const ProductRequest traffic[] = {request(BeamId::Gt1r, seasurface::Method::MinElevation),
+                                    request(BeamId::Gt3r, seasurface::Method::MinElevation)};
+  std::vector<GranuleProduct> references;  // before the count: they read shards
+  for (const ProductRequest& r : traffic) references.push_back(batch_reference(r.beam, r.method));
+
+  auto service = make_service(cfg);
+  const auto full_loads_before = h5::load_granule_call_count();
+  for (std::size_t i = 0; i < std::size(traffic); ++i) {
+    SCOPED_TRACE(atl03::beam_name(traffic[i].beam));
+    const auto response = service->submit(traffic[i]).get();
+    ASSERT_NE(response.product, nullptr);
+    EXPECT_EQ(response.source, ServedFrom::build);
+    expect_bit_identical(*response.product, references[i]);
+    service->wait_disk_writebacks();  // publish (and evict) before the next miss
+  }
+  EXPECT_EQ(h5::load_granule_call_count(), full_loads_before);  // no shard IO
+
+  const auto m = service->metrics();
+  EXPECT_EQ(m.inference_windows, 0u);  // no window classified after warm-up
+  EXPECT_EQ(m.resumed_builds, 2u);
+  EXPECT_EQ(m.load.stats.count(), 0u);
+  EXPECT_EQ(m.disk.evictions, 2u);  // Gt1r's warm product, then Gt2r's
+  // Gt2r's product was spared once for the Gt1r publish and never read, so
+  // it went on its second pass: the one seed eviction.
+  EXPECT_EQ(m.disk.seed_evictions, 1u);
 }
 
 TEST_F(ServeCampaign, SiblingOfAnotherBackendIsNotASeed) {
