@@ -6,6 +6,7 @@
 #include <span>
 
 #include "geo/polar_stereo.hpp"
+#include "util/check.hpp"
 #include "util/stats.hpp"
 
 namespace is2::atl03 {
@@ -27,9 +28,16 @@ double interp_background(const std::vector<double>& bin_t, const std::vector<dou
 
 }  // namespace
 
+void PreprocessConfig::validate() const {
+  util::check_length(outlier_bin_m, "PreprocessConfig: outlier_bin_m");
+  util::check_length(outlier_threshold_m, "PreprocessConfig: outlier_threshold_m",
+                     /*zero_ok=*/true);
+}
+
 PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
                                  const geo::GeoCorrections& corrections,
                                  const PreprocessConfig& config) {
+  config.validate();
   beam.check_consistent();
   const geo::PolarStereo proj = geo::PolarStereo::epsg3976();
 

@@ -20,6 +20,10 @@ struct PreprocessConfig {
   bool apply_geo_correction = true;
   double outlier_bin_m = 25.0;        ///< bin size for the local median surface
   double outlier_threshold_m = 5.0;   ///< reject photons this far from local median
+
+  /// Throws std::invalid_argument unless outlier_bin_m is finite and
+  /// positive and outlier_threshold_m finite and >= 0.
+  void validate() const;
 };
 
 /// Clean per-beam photon series in along-track order, heights corrected.
@@ -41,7 +45,8 @@ struct PreprocessedBeam {
   geo::GroundTrack track() const { return geo::GroundTrack(track_origin, track_heading); }
 };
 
-/// Preprocess a single beam.
+/// Preprocess a single beam. Throws std::invalid_argument when `config`
+/// fails PreprocessConfig::validate or the beam's arrays are inconsistent.
 PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
                                  const geo::GeoCorrections& corrections,
                                  const PreprocessConfig& config = {});

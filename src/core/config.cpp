@@ -3,11 +3,16 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/check.hpp"
+
 namespace is2::core {
 
 void PipelineConfig::validate() const {
   auto fail = [](const std::string& what) {
     throw std::invalid_argument("PipelineConfig::validate: " + what);
+  };
+  auto length = [](double value, const char* name, bool zero_ok = false) {
+    util::check_length(value, std::string("PipelineConfig::validate: ") + name, zero_ok);
   };
   // The classifier windows are centered on one segment: the window must be
   // odd so "n-2..n+2 context" has a center, and non-zero so windows exist.
@@ -15,7 +20,7 @@ void PipelineConfig::validate() const {
     fail("sequence_window must be odd and non-zero (got " + std::to_string(sequence_window) +
          ")");
   if (chunks_per_beam == 0) fail("chunks_per_beam must be >= 1");
-  if (track_length_m <= 0.0) fail("track_length_m must be positive");
+  length(track_length_m, "track_length_m");
   // surface.length_m is overridden to track_length_m when the scene is
   // generated (Campaign); an explicit override that disagrees would silently
   // simulate a different scene than the pipeline expects.
@@ -23,11 +28,12 @@ void PipelineConfig::validate() const {
     fail("surface.length_m (" + std::to_string(surface.length_m) +
          ") disagrees with track_length_m (" + std::to_string(track_length_m) +
          "); leave it at the default to inherit track_length_m");
-  if (segmenter.window_m <= 0.0) fail("segmenter.window_m must be positive");
-  if (segmenter.shot_spacing_m <= 0.0) fail("segmenter.shot_spacing_m must be positive");
-  if (seasurface.window_m <= 0.0) fail("seasurface.window_m must be positive");
-  if (seasurface.stride_m <= 0.0) fail("seasurface.stride_m must be positive");
-  if (instrument.dead_time_m < 0.0) fail("instrument.dead_time_m must be >= 0");
+  preprocess.validate();
+  length(segmenter.window_m, "segmenter.window_m");
+  length(segmenter.shot_spacing_m, "segmenter.shot_spacing_m");
+  length(seasurface.window_m, "seasurface.window_m");
+  length(seasurface.stride_m, "seasurface.stride_m");
+  length(instrument.dead_time_m, "instrument.dead_time_m", /*zero_ok=*/true);
   if (instrument.strong_channels == 0) fail("instrument.strong_channels must be >= 1");
   if (freeboard.max_freeboard_m < freeboard.min_freeboard_m)
     fail("freeboard.max_freeboard_m below min_freeboard_m");

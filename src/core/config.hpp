@@ -51,9 +51,11 @@ struct PipelineConfig {
 
   /// Reject inconsistent settings with std::invalid_argument (e.g. an even
   /// or zero sequence_window, zero chunks_per_beam, a surface.length_m
-  /// override that disagrees with track_length_m, non-positive resampling
-  /// windows). Called at pipeline::ProductBuilder construction so a bad
-  /// config fails at the API boundary instead of deep inside a stage.
+  /// override that disagrees with track_length_m, a length that is not
+  /// finite and positive — resampling windows, the preprocess outlier bin —
+  /// or a negative or non-finite outlier threshold or dead time). Called at
+  /// pipeline::ProductBuilder construction so a bad config fails at the API
+  /// boundary instead of deep inside a stage.
   void validate() const;
 };
 

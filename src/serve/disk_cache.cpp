@@ -107,6 +107,18 @@ Array read_array(h5::ByteReader& r, std::size_t elem_bytes) {
   return {count, r.take(count * elem_bytes)};
 }
 
+/// Bytes before the payload: identity prefix, granule id, payload length.
+std::size_t header_size(const ProductKey& key) {
+  return kIdentityPrefixBytes + 4 + key.granule_id.size() + 8;
+}
+
+/// Bytes of the payload: each array's u64 count and its elements.
+std::size_t payload_size(const GranuleProduct& product) {
+  return 4 * 8 + product.segments.size() * kSegmentBytes + product.classes.size() * kClassBytes +
+         product.sea_surface.points().size() * kSurfacePointBytes +
+         product.freeboard.points.size() * kFreeboardPointBytes;
+}
+
 /// The key of an entry's beam group: granule, beam and backend, with
 /// config_hash and kind at their defaults.
 ProductKey beam_of(const ProductKey& key) {
@@ -131,17 +143,16 @@ std::string DiskCache::filename_for(const ProductKey& key) {
   return id + buf;
 }
 
+std::size_t DiskCache::encoded_size(const ProductKey& key, const GranuleProduct& product) {
+  return header_size(key) + payload_size(product) + 4;
+}
+
 std::vector<std::uint8_t> DiskCache::serialize(const ProductKey& key,
                                                const GranuleProduct& product) {
   const auto& surface = product.sea_surface.points();
   const auto& freeboard = product.freeboard.points;
-  const std::size_t header_bytes = kIdentityPrefixBytes + 4 + key.granule_id.size() + 8;
-  const std::size_t payload_bytes = 4 * 8 + product.segments.size() * kSegmentBytes +
-                                    product.classes.size() * kClassBytes +
-                                    surface.size() * kSurfacePointBytes +
-                                    freeboard.size() * kFreeboardPointBytes;
 
-  h5::ByteWriter out(header_bytes + payload_bytes + 4);
+  h5::ByteWriter out(encoded_size(key, product));
   out.bytes(reinterpret_cast<const std::uint8_t*>(kMagic), 4);
   out.raw(kFormatVersion);
   out.raw(key.config_hash);
@@ -149,7 +160,7 @@ std::vector<std::uint8_t> DiskCache::serialize(const ProductKey& key,
   out.raw(static_cast<std::uint8_t>(key.kind));
   out.raw(static_cast<std::uint8_t>(key.backend));
   out.str(key.granule_id);
-  out.raw(static_cast<std::uint64_t>(payload_bytes));
+  out.raw(static_cast<std::uint64_t>(payload_size(product)));
 
   out.raw(static_cast<std::uint64_t>(product.segments.size()));
   std::uint8_t* q = out.append(product.segments.size() * kSegmentBytes);
@@ -171,7 +182,7 @@ std::vector<std::uint8_t> DiskCache::serialize(const ProductKey& key,
     store(q, static_cast<std::uint8_t>(p.cls));
     store(q, static_cast<std::uint8_t>(p.truth));
   }
-  out.raw(h5::crc32(out.written().subspan(header_bytes)));
+  out.raw(h5::crc32(out.written().subspan(header_size(key))));
   return out.release();
 }
 
@@ -240,6 +251,9 @@ DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
       &reg.counter("is2_cache_evictions_total", tier, "files deleted by byte budget");
   seed_evictions_total_ = &reg.counter("is2_cache_seed_evictions_total", tier,
                                        "evictions that removed a beam's last resident product");
+  rejections_total_ =
+      &reg.counter("is2_cache_admission_rejections_total", tier,
+                   "writes skipped because a file they would displace is read more");
   corrupt_total_ = &reg.counter("is2_cache_corrupt_dropped_total", tier,
                                 "stale/corrupt/partial files deleted");
   read_retries_total_ = &reg.counter("is2_cache_read_retries_total", tier,
@@ -326,13 +340,36 @@ void DiskCache::drop_entry_locked(std::list<Entry>::iterator it, bool corrupt) {
   }
 }
 
+bool DiskCache::spares_locked(const Entry& e) const {
+  return !e.spared && beam_entries_.at(beam_of(e.key)) == 1;
+}
+
+bool DiskCache::admits_locked(const ProductKey& key, std::size_t bytes) const {
+  const ProductKey beam = beam_of(key);
+  if (index_.count(key) != 0 || beam_entries_.count(beam) == 0 ||
+      bytes_ + bytes <= config_.byte_budget)
+    return true;
+  // The files the write would displace: the LRU end, minus the seeds the
+  // eviction loop would spare (the key's own beam has no seed once it is
+  // written).
+  const std::uint32_t freq = sketch_.estimate(ProductKeyHash{}(key));
+  std::size_t freed = 0;
+  for (auto it = lru_.rbegin(); it != lru_.rend() && bytes_ + bytes > config_.byte_budget + freed;
+       ++it) {
+    if (spares_locked(*it) && !(beam_of(it->key) == beam)) continue;
+    if (sketch_.estimate(ProductKeyHash{}(it->key)) > freq) return false;
+    freed += it->bytes;
+  }
+  return true;
+}
+
 void DiskCache::evict_over_budget_locked() {
   // Each step evicts an entry or marks an unmarked one, so the loop ends.
   // An entry starts unmarked and only a read clears its mark, so the marks
   // cost amortized O(1) per put or read.
   while (bytes_ > config_.byte_budget && lru_.size() > 1) {
     const auto victim = std::prev(lru_.end());
-    if (!victim->spared && beam_entries_.at(beam_of(victim->key)) == 1) {
+    if (spares_locked(*victim)) {
       victim->spared = true;  // the beam's seed: one more pass through the LRU
       lru_.splice(lru_.begin(), lru_, victim);
     } else {
@@ -360,10 +397,12 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
   // new complete payload — both deserialize to a valid product for this
   // key. A concurrent eviction can delete the file mid-read; that read
   // fails and is recorded as a miss without touching any newer entry.
+  const std::size_t hash = ProductKeyHash{}(key);
   std::string path;
   std::uint64_t gen = 0;
   {
     util::MutexLock lock(mutex_);
+    if (count_stats) sketch_.record(hash);
     const auto it = index_.find(key);
     if (it == index_.end()) {
       if (count_stats) misses_total_->inc();
@@ -374,7 +413,7 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
   }
 
   std::shared_ptr<GranuleProduct> product;
-  util::Backoff backoff(config_.read_backoff, ProductKeyHash{}(key) ^ gen);
+  util::Backoff backoff(config_.read_backoff, hash ^ gen);
   for (std::size_t attempt = 0;; ++attempt) {
     try {
       util::fault::inject("disk.read");
@@ -429,7 +468,15 @@ std::shared_ptr<const GranuleProduct> DiskCache::get_impl(const ProductKey& key,
   return product;
 }
 
-void DiskCache::put(const ProductKey& key, const GranuleProduct& product) {
+bool DiskCache::put(const ProductKey& key, const GranuleProduct& product) {
+  const std::size_t size = encoded_size(key, product);
+  {
+    util::MutexLock lock(mutex_);
+    if (!admits_locked(key, size)) {
+      rejections_total_->inc();
+      return false;
+    }
+  }
   util::fault::inject("disk.write");
   const std::vector<std::uint8_t> bytes = serialize(key, product);
   const std::string path = (fs::path(config_.dir) / filename_for(key)).string();
@@ -481,6 +528,7 @@ void DiskCache::put(const ProductKey& key, const GranuleProduct& product) {
   bytes_ += bytes.size();
   writes_total_->inc();
   evict_over_budget_locked();
+  return true;
 }
 
 bool DiskCache::contains(const ProductKey& key) const {
@@ -495,6 +543,7 @@ DiskCacheStats DiskCache::stats() const {
   out.writes = writes_total_->value();
   out.evictions = evictions_total_->value();
   out.seed_evictions = seed_evictions_total_->value();
+  out.admission_rejections = rejections_total_->value();
   out.corrupt_dropped = corrupt_total_->value();
   out.disk_read_retries = read_retries_total_->value();
   {

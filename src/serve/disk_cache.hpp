@@ -36,6 +36,13 @@
 //    that beam resumes from, so at the LRU end it is moved back to the MRU
 //    end once before it can go. A read clears that mark; an unread seed is
 //    evicted on its second pass (counted in `seed_evictions`).
+//  * Writes are admitted by frequency (TinyLFU): client lookups (`get`) are
+//    counted in a FrequencySketch, and a `put` of a new key whose beam
+//    already has a resident product is skipped — before serialization, so
+//    with no file IO — when a file it would displace is read more often
+//    (counted in `admission_rejections`). A beam's first product is always
+//    written: it is the beam's seed. The sketch is not persisted, so after a
+//    restart every estimate is 0 and eviction is plain LRU.
 #pragma once
 
 #include <cstddef>
@@ -83,6 +90,9 @@ struct DiskCacheStats {
   /// miss rebuilds from shards. A rising count means the budget holds less
   /// than one product per live beam.
   std::uint64_t seed_evictions = 0;
+  /// put() calls skipped because a file the write would displace is read
+  /// more often than the new key: writes that never happened.
+  std::uint64_t admission_rejections = 0;
   std::uint64_t corrupt_dropped = 0;   ///< stale/corrupt/partial files deleted
   std::uint64_t disk_read_retries = 0; ///< failed reads retried before the drop path
   std::size_t bytes = 0;               ///< resident on-disk bytes
@@ -111,7 +121,8 @@ class DiskCache {
   DiskCache(const DiskCache&) = delete;
   DiskCache& operator=(const DiskCache&) = delete;
 
-  /// Probe + deserialize; refreshes LRU position on hit and clears the
+  /// Probe + deserialize; records the lookup in the frequency sketch, hit
+  /// or miss, and on a hit refreshes the LRU position and clears the
   /// entry's seed mark (see the eviction rule above). Any unreadable file
   /// (truncated, bad CRC, wrong version, key mismatch) is deleted and
   /// reported as a miss — a corrupt entry is never served. The file read
@@ -120,8 +131,8 @@ class DiskCache {
   /// when one of them hits a slow disk.
   std::shared_ptr<const GranuleProduct> get(const ProductKey& key);
 
-  /// get() minus the hit/miss counters (corrupt drops are still counted —
-  /// they report file health, not traffic). For speculative probes that are
+  /// get() minus the hit/miss counters and the frequency sketch (corrupt
+  /// drops are still counted — they report file health, not traffic). For speculative probes that are
   /// not client requests (the service's shallower-kind resume probe), so
   /// DiskCacheStats keeps reporting the client-visible hit rate.
   std::shared_ptr<const GranuleProduct> peek(const ProductKey& key);
@@ -134,12 +145,15 @@ class DiskCache {
     read_hook_ = std::move(hook);
   }
 
-  /// Serialize + atomically publish, then evict LRU files over budget (a
-  /// beam's last unmarked product is spared once; see above).
-  /// Blocks for the file write; errors (e.g. disk full) throw.
-  void put(const ProductKey& key, const GranuleProduct& product);
+  /// Admission check, then serialize + atomically publish, then evict LRU
+  /// files over budget (a beam's last unmarked product is spared once; see
+  /// above). Returns false, having done no IO, when the write is rejected:
+  /// the key is new, its beam has a resident product, and a file the write
+  /// would displace is read more often. Blocks for the file write; errors
+  /// (e.g. disk full) throw.
+  bool put(const ProductKey& key, const GranuleProduct& product);
 
-  /// Manifest-only probe: no file IO, no LRU refresh, no counters.
+  /// Manifest-only probe: no file IO, no LRU refresh, no counters, no sketch.
   bool contains(const ProductKey& key) const;
 
   /// Counters plus resident bytes/entries; also refreshes the
@@ -162,6 +176,9 @@ class DiskCache {
   /// Encode one product under its cache key.
   static std::vector<std::uint8_t> serialize(const ProductKey& key,
                                              const GranuleProduct& product);
+
+  /// Size in bytes of serialize(key, product), computed without encoding.
+  static std::size_t encoded_size(const ProductKey& key, const GranuleProduct& product);
 
   /// Decode; throws h5::H5Error on any malformation, version or CRC mismatch,
   /// or when the embedded key differs from `expect` (filename collision).
@@ -186,6 +203,11 @@ class DiskCache {
     bool spared = false;
   };
 
+  /// Whether the eviction loop would spare `e` rather than evict it: a
+  /// beam's last resident product that has not been spared yet.
+  bool spares_locked(const Entry& e) const REQUIRES(mutex_);
+  /// The admission check of put() for a new file of `bytes` bytes.
+  bool admits_locked(const ProductKey& key, std::size_t bytes) const REQUIRES(mutex_);
   void evict_over_budget_locked() REQUIRES(mutex_);
   void drop_entry_locked(std::list<Entry>::iterator it, bool corrupt) REQUIRES(mutex_);
   std::shared_ptr<const GranuleProduct> get_impl(const ProductKey& key, bool count_stats);
@@ -201,6 +223,7 @@ class DiskCache {
   std::unordered_map<ProductKey, std::size_t, ProductKeyHash> beam_entries_ GUARDED_BY(mutex_);
   std::size_t bytes_ GUARDED_BY(mutex_) = 0;
   std::uint64_t next_gen_ GUARDED_BY(mutex_) = 1;  ///< publish generation source
+  FrequencySketch sketch_ GUARDED_BY(mutex_);      ///< get() lookups
 
   /// Instruments, set once at construction (stable for the registry's
   /// lifetime). Owned registry only when DiskCacheConfig::registry was null.
@@ -210,6 +233,7 @@ class DiskCache {
   obs::Counter* writes_total_ = nullptr;
   obs::Counter* evictions_total_ = nullptr;
   obs::Counter* seed_evictions_total_ = nullptr;
+  obs::Counter* rejections_total_ = nullptr;
   obs::Counter* corrupt_total_ = nullptr;
   obs::Counter* read_retries_total_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;

@@ -1,21 +1,31 @@
-// Sharded LRU cache for served granule products (the RAM tier of the
-// two-tier `is2::serve` product cache; the disk tier is serve/disk_cache).
+// Sharded cache for served granule products (the RAM tier of the two-tier
+// `is2::serve` product cache; the disk tier is serve/disk_cache).
 // Entries are keyed by ProductKey = (granule_id, beam, config-hash) so a
 // config or model change never serves stale products, and eviction is
-// byte-budgeted: each shard evicts from its least-recently-used end until it
-// fits, so total resident bytes stay near the budget no matter how large
-// individual products are. Sharding (key-hash -> shard) keeps lock
-// contention low under concurrent mixed hit/miss traffic.
+// byte-budgeted: each shard evicts until it fits, so total resident bytes
+// stay near the budget no matter how large individual products are.
+// Sharding (key-hash -> shard) keeps lock contention low under concurrent
+// mixed hit/miss traffic.
+//
+// Admission is by frequency (TinyLFU): each shard counts its client lookups
+// in a FrequencySketch. The newest insert is the shard's window entry and is
+// always resident. When the next insert pushes it out of the window, it
+// becomes the candidate and stays only if it is read at least as often as
+// the least recently used entry it would displace; otherwise it goes
+// instead (an admission rejection, also counted as an eviction). Ties go to
+// the candidate, so with no frequency information eviction is plain LRU.
 //
 // Ownership / threading contract: every method is thread-safe; a call locks
 // exactly one shard mutex (stats()/clear() lock each in turn) and performs
 // no IO, so nothing here blocks beyond a short critical section. Hit, miss,
-// insertion and eviction counters are registry Counters (relaxed atomics)
-// incremented where the event happens, so they are exact at any time.
-// Products are immutable once inserted and handed out as shared_ptr<const>,
-// so a hit stays valid after eviction; callers never copy product bytes.
+// insertion, eviction and rejection counters are registry Counters (relaxed
+// atomics) incremented where the event happens, so they are exact at any
+// time. Products are immutable once inserted and handed out as
+// shared_ptr<const>, so a hit stays valid after eviction; callers never copy
+// product bytes.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -58,6 +68,36 @@ struct ProductKeyHash {
   std::size_t operator()(const ProductKey& key) const;
 };
 
+/// Count-min estimate of how often each key was looked up recently: the
+/// admission filter of both cache tiers (Einziger, Friedman & Manes,
+/// "TinyLFU: A Highly Efficient Cache Admission Policy", ACM TOS 2017).
+/// `record` adds one to the key's counter in each of kRows rows, every row
+/// indexed by its own mix of the ProductKeyHash; `estimate` reads the
+/// smallest of them, so collisions can only raise an estimate: within one
+/// aging period it is never below the key's true count. Every kAgingPeriod
+/// records, all counters and the record count are halved, so the sketch
+/// follows popularity shifts. A counter never exceeds the record count,
+/// which stays below kAgingPeriod, so the counters saturate there and never
+/// wrap.
+///
+/// No lock of its own: each owner keeps it under the mutex that guards the
+/// rest of its state.
+class FrequencySketch {
+ public:
+  static constexpr std::size_t kRows = 4;
+  static constexpr std::size_t kWidth = 512;  ///< counters per row
+  static constexpr std::uint32_t kAgingPeriod = 4096;
+
+  void record(std::size_t key_hash);
+  std::uint32_t estimate(std::size_t key_hash) const;
+
+ private:
+  static std::size_t slot(std::size_t key_hash, std::size_t row);
+
+  std::array<std::array<std::uint32_t, kWidth>, kRows> counters_{};
+  std::uint32_t records_ = 0;  ///< counts toward the next halving; halved with it
+};
+
 /// Materialized serving product for one (granule, beam, config, kind,
 /// backend). How deep the artifact set goes is the key's `ProductKind`: a
 /// `classification` product carries segments + classes only (sea_surface /
@@ -81,8 +121,11 @@ struct GranuleProduct {
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
+  std::uint64_t evictions = 0;  ///< including admission rejections
   std::uint64_t insertions = 0;
+  /// Candidates evicted because the entry they would have displaced was
+  /// read more often.
+  std::uint64_t admission_rejections = 0;
   std::size_t bytes = 0;    ///< resident product bytes
   std::size_t entries = 0;  ///< resident product count
 
@@ -94,7 +137,7 @@ struct CacheStats {
 
 class ProductCache {
  public:
-  /// `byte_budget` is split evenly across `num_shards` independent LRU lists.
+  /// `byte_budget` is split evenly across `num_shards` independent shards.
   /// The cache counts into `is2_cache_*{tier="ram"}` instruments of
   /// `registry` (which must outlive the cache), or of a private registry
   /// when none is given.
@@ -104,22 +147,25 @@ class ProductCache {
   ProductCache(const ProductCache&) = delete;
   ProductCache& operator=(const ProductCache&) = delete;
 
-  /// Look up a product; a hit refreshes its LRU position.
+  /// Look up a product and record the lookup in the shard's frequency
+  /// sketch, hit or miss; a hit refreshes its LRU position.
   std::shared_ptr<const GranuleProduct> get(const ProductKey& key);
 
-  /// Insert (or refresh) a product, then evict least-recently-used entries
-  /// until the shard fits its budget again. The entry just inserted is never
-  /// evicted by its own insertion, so an oversized product still serves the
-  /// requests that are already waiting on it.
+  /// Insert (or refresh) a product as the shard's window entry, then evict
+  /// until the shard fits its budget again: the previous window entry stays
+  /// only if it is read at least as often as each least-recently-used entry
+  /// it displaces (see the admission rule above). The entry just inserted is
+  /// never evicted by its own insertion, so an oversized product still
+  /// serves the requests that are already waiting on it.
   void put(const ProductKey& key, std::shared_ptr<const GranuleProduct> product);
 
-  /// Lookup without touching the hit/miss counters (a hit still refreshes
-  /// LRU order — it is a real use). For speculative probes that are not
-  /// client requests, e.g. the service's shallower-kind resume probe, so
-  /// stats keep reporting the client-visible hit rate.
+  /// Lookup without touching the hit/miss counters or the frequency sketch
+  /// (a hit still refreshes LRU order — it is a real use). For speculative
+  /// probes that are not client requests, e.g. the service's shallower-kind
+  /// resume probe, so stats keep reporting the client-visible hit rate.
   std::shared_ptr<const GranuleProduct> peek(const ProductKey& key);
 
-  /// Lookup without touching LRU order or hit/miss counters.
+  /// Lookup without touching LRU order, counters or the sketch.
   bool contains(const ProductKey& key) const;
 
   /// Counters plus resident bytes/entries; also refreshes the
@@ -135,16 +181,22 @@ class ProductCache {
     ProductKey key;
     std::shared_ptr<const GranuleProduct> product;
     std::size_t bytes = 0;
+    std::size_t hash = 0;  ///< ProductKeyHash of key
   };
   struct Shard {
+    Shard() : window(lru.end()) {}
+
     mutable util::Mutex mutex;
     std::list<Entry> lru GUARDED_BY(mutex);  ///< front = most recently used
     std::unordered_map<ProductKey, std::list<Entry>::iterator, ProductKeyHash> index
         GUARDED_BY(mutex);
     std::size_t bytes GUARDED_BY(mutex) = 0;
+    /// The newest insert while it is resident; lru.end() otherwise.
+    std::list<Entry>::iterator window GUARDED_BY(mutex);
+    FrequencySketch sketch GUARDED_BY(mutex);  ///< get() lookups
   };
 
-  Shard& shard_for(const ProductKey& key) const;
+  Shard& shard_for(std::size_t key_hash) const;
 
   std::size_t byte_budget_;
   std::size_t shard_budget_;
@@ -157,6 +209,7 @@ class ProductCache {
   obs::Counter* misses_total_ = nullptr;
   obs::Counter* evictions_total_ = nullptr;
   obs::Counter* insertions_total_ = nullptr;
+  obs::Counter* rejections_total_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;
   obs::Gauge* entries_gauge_ = nullptr;
 };

@@ -274,7 +274,7 @@ void GranuleService::schedule_writeback(const ProductKey& key,
     util::Backoff backoff(util::BackoffConfig{0.5, 20.0}, ProductKeyHash{}(key));
     for (std::size_t attempt = 1;; ++attempt) {
       try {
-        disk_->put(key, *product);
+        disk_->put(key, *product);  // false = not admitted: done, not a failure
         break;
       } catch (const std::exception& e) {
         if (attempt < kWritebackAttempts) {
@@ -427,7 +427,11 @@ std::shared_ptr<const GranuleProduct> GranuleService::probe_resume(
 }
 
 ProductResponse GranuleService::build(const ProductRequest& request, const ProductKey& key) {
-  if (auto hit = cache_.get(key)) return ProductResponse{std::move(hit), true, 0.0, ServedFrom::ram};
+  // Another job may have cached the key since it was queued. peek(), not
+  // get(): submit() already counted this request's RAM lookup and recorded
+  // it in the admission sketch, and warm() is not client traffic.
+  if (auto hit = cache_.peek(key))
+    return ProductResponse{std::move(hit), true, 0.0, ServedFrom::ram};
 
   util::Timer build_timer;
   util::Timer stage_timer;

@@ -20,13 +20,15 @@
 // freeboard: no shard IO, no inference.
 //
 // Two cache tiers answer repeat requests without re-running the pipeline: a
-// sharded in-RAM LRU `ProductCache`, then (when `ServiceConfig::
+// sharded in-RAM `ProductCache`, then (when `ServiceConfig::
 // disk_cache_dir` is set) a persistent `DiskCache` probed before any shard
 // IO — a RAM miss that disk-hits deserializes one file, promotes the
-// product to RAM and never touches the shards. Products built cold are
-// written back to disk asynchronously on a dedicated write-back thread, so
-// the build's caller never waits for disk; a full write-back backlog skips
-// the write instead of queueing it. A coalescing `BatchScheduler`
+// product to RAM and never touches the shards. Both tiers admit by
+// frequency: each counts its client lookups, once per request, and keeps a
+// newcomer only when it is read at least as often as what it displaces.
+// Products built cold are written back to disk asynchronously on a
+// dedicated write-back thread, so the build's caller never waits for disk;
+// a full write-back backlog skips the write instead of queueing it. A coalescing `BatchScheduler`
 // makes cold keys single-flight, applies queue backpressure, and admits by
 // `Priority` class (weighted dequeue; background shed first under
 // saturation). Every builder stage, the shard load, disk hits and whole

@@ -181,13 +181,13 @@ void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b
 }
 
 /// preprocess_beam against the per-bin reference applied to the same beam
-/// with the filter off (an infinite threshold keeps every photon).
+/// with the filter off (the largest finite threshold keeps every photon).
 void expect_matches_per_bin_reference(const atl03::Granule& granule,
                                       const atl03::BeamData& beam,
                                       const geo::GeoCorrections& corrections) {
   const PreprocessConfig config;
   PreprocessConfig unfiltered = config;
-  unfiltered.outlier_threshold_m = std::numeric_limits<double>::infinity();
+  unfiltered.outlier_threshold_m = std::numeric_limits<double>::max();
   const auto all = atl03::preprocess_beam(granule, beam, corrections, unfiltered);
   ASSERT_GT(all.size(), 0u);
   const auto expected = per_bin_outlier_filter(all, config);
@@ -367,6 +367,35 @@ TEST(Preprocess, MalformedBackgroundBinTimesAreRejected) {
     EXPECT_THROW(atl03::preprocess_beam(fx.granule, cases[c], fx.corrections),
                  std::invalid_argument);
   }
+}
+
+TEST(Preprocess, InvalidConfigIsRejectedBeforeAnyPhotonIsBinned) {
+  // A zero bin used to divide by zero and cast the NaN bin number to
+  // size_t; preprocess_beam takes a bare PreprocessConfig, so it checks it.
+  Fixture fx;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  std::vector<PreprocessConfig> cases;
+  for (const double bin : {0.0, -25.0, nan, inf}) {
+    PreprocessConfig c;
+    c.outlier_bin_m = bin;
+    cases.push_back(c);
+  }
+  for (const double threshold : {-1.0, nan, inf}) {
+    PreprocessConfig c;
+    c.outlier_threshold_m = threshold;
+    cases.push_back(c);
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(c);
+    EXPECT_THROW(cases[c].validate(), std::invalid_argument);
+    EXPECT_THROW(atl03::preprocess_beam(fx.granule, raw, fx.corrections, cases[c]),
+                 std::invalid_argument);
+  }
+  PreprocessConfig zero_threshold;
+  zero_threshold.outlier_threshold_m = 0.0;
+  EXPECT_NO_THROW(atl03::preprocess_beam(fx.granule, raw, fx.corrections, zero_threshold));
 }
 
 TEST(Preprocess, EmptyBeamYieldsEmptyResult) {

@@ -7,6 +7,8 @@
 // instrumentation.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -74,6 +76,48 @@ TEST(PipelineConfigValidate, RejectsInconsistentSettings) {
   core::PipelineConfig bad_fb = base;
   bad_fb.freeboard.max_freeboard_m = bad_fb.freeboard.min_freeboard_m - 1.0;
   EXPECT_THROW(bad_fb.validate(), std::invalid_argument);
+}
+
+TEST(PipelineConfigValidate, RejectsLengthsThatAreNotFiniteAndPositive) {
+  // Every comparison with NaN is false, so a bare `x <= 0` check let NaN
+  // through, and an infinite window passed it too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::function<double&(core::PipelineConfig&)> lengths[] = {
+      [](core::PipelineConfig& c) -> double& { return c.track_length_m; },
+      [](core::PipelineConfig& c) -> double& { return c.preprocess.outlier_bin_m; },
+      [](core::PipelineConfig& c) -> double& { return c.segmenter.window_m; },
+      [](core::PipelineConfig& c) -> double& { return c.segmenter.shot_spacing_m; },
+      [](core::PipelineConfig& c) -> double& { return c.seasurface.window_m; },
+      [](core::PipelineConfig& c) -> double& { return c.seasurface.stride_m; },
+  };
+  for (std::size_t f = 0; f < std::size(lengths); ++f)
+    for (const double bad : {0.0, -25.0, nan, inf, -inf}) {
+      SCOPED_TRACE(::testing::Message() << "length " << f << " = " << bad);
+      core::PipelineConfig config = core::PipelineConfig::tiny();
+      lengths[f](config) = bad;
+      EXPECT_THROW(config.validate(), std::invalid_argument);
+    }
+}
+
+TEST(PipelineConfigValidate, ThresholdAndDeadTimeMayBeZeroButMustBeFinite) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::function<double&(core::PipelineConfig&)> fields[] = {
+      [](core::PipelineConfig& c) -> double& { return c.preprocess.outlier_threshold_m; },
+      [](core::PipelineConfig& c) -> double& { return c.instrument.dead_time_m; },
+  };
+  for (std::size_t f = 0; f < std::size(fields); ++f) {
+    for (const double bad : {-1.0, nan, inf}) {
+      SCOPED_TRACE(::testing::Message() << "field " << f << " = " << bad);
+      core::PipelineConfig config = core::PipelineConfig::tiny();
+      fields[f](config) = bad;
+      EXPECT_THROW(config.validate(), std::invalid_argument);
+    }
+    core::PipelineConfig zero = core::PipelineConfig::tiny();
+    fields[f](zero) = 0.0;
+    EXPECT_NO_THROW(zero.validate());
+  }
 }
 
 TEST(PipelineConfigValidate, BuilderConstructionValidates) {

@@ -1,9 +1,10 @@
-// Serving subsystem tests: LRU product cache eviction/counters, the disk
-// cache tier (round-trip bit-identity, encoder bytes against a per-field
+// Serving subsystem tests: the frequency sketch, product cache eviction,
+// frequency admission and counters, the disk cache tier (round-trip bit-identity, encoder bytes against a per-field
 // reference, every truncation and lying array counts as typed errors,
 // crash safety on corrupt/truncated/stale files, byte-budget eviction and
-// the one extra pass it gives each beam's last product, manifest rebuild
-// across restarts, the bounded write-back backlog),
+// the one extra pass it gives each beam's last product, writes skipped by
+// frequency admission, manifest rebuild across restarts, the bounded
+// write-back backlog),
 // bounded + priority queue semantics (weighted dequeue, class-aware
 // displacement), request coalescing and backpressure in the scheduler,
 // priority-ordered shedding under saturation, cache-hit serving without
@@ -13,6 +14,7 @@
 // serve paths (RAM hit / disk hit / rebuild).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -156,6 +158,193 @@ TEST(ProductCache, DistinctConfigHashesAreDistinctEntries) {
   EXPECT_TRUE(cache.contains(key_of("a", 1)));
   EXPECT_TRUE(cache.contains(key_of("a", 2)));
   EXPECT_FALSE(cache.contains(key_of("a", 3)));
+}
+
+// Frequency admission. With one shard the budgets below count products of
+// 100 segments; every lookup of a key goes through get(), as a client's
+// would, and a miss is followed by the put a build would make.
+
+void get_or_put(ProductCache& cache, const ProductKey& key) {
+  if (!cache.get(key)) cache.put(key, make_product(key.granule_id, 100));
+}
+
+TEST(ProductCache, ReadEntrySurvivesAScanOfOneOffKeys) {
+  const std::size_t entry = make_product("x", 100)->approx_bytes();
+  ProductCache cache(entry * 3 + entry / 2, 1);
+  get_or_put(cache, key_of("hot"));
+  for (int i = 0; i < 3; ++i) ASSERT_NE(cache.get(key_of("hot")), nullptr);
+
+  // Under LRU the third one-off key evicts "hot". Here each one-off key
+  // passes through the window and is then rejected: it was read less.
+  for (int i = 0; i < 20; ++i) {
+    const ProductKey once = key_of("once" + std::to_string(i));
+    get_or_put(cache, once);
+    EXPECT_TRUE(cache.contains(once));  // the window entry is always resident
+    EXPECT_TRUE(cache.contains(key_of("hot"))) << "after one-off key " << i;
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.insertions, 21u);
+  EXPECT_EQ(stats.evictions, 18u);
+  EXPECT_EQ(stats.admission_rejections, 18u);  // every eviction was a rejection
+}
+
+TEST(ProductCache, NewestInsertIsResidentEvenWhenEveryOtherEntryIsHotter) {
+  const std::size_t entry = make_product("x", 100)->approx_bytes();
+  ProductCache cache(entry * 3 + entry / 2, 1);
+  for (const char* id : {"a", "b", "c"}) {
+    cache.put(key_of(id), make_product(id, 100));
+    for (int i = 0; i < 5; ++i) ASSERT_NE(cache.get(key_of(id)), nullptr);
+  }
+  // "cold" takes the window: resident when put returns. "c" leaves the
+  // window as the candidate and ties with the LRU victim "a": "a" goes.
+  cache.put(key_of("cold"), make_product("cold", 100));
+  EXPECT_TRUE(cache.contains(key_of("cold")));
+  EXPECT_FALSE(cache.contains(key_of("a")));
+  EXPECT_EQ(cache.stats().admission_rejections, 0u);
+
+  // The next insert makes "cold" the candidate: read less than the victim
+  // "b", it goes instead (LRU would have evicted "b").
+  cache.put(key_of("cold2"), make_product("cold2", 100));
+  EXPECT_TRUE(cache.contains(key_of("cold2")));
+  EXPECT_FALSE(cache.contains(key_of("cold")));
+  EXPECT_TRUE(cache.contains(key_of("b")));
+  EXPECT_TRUE(cache.contains(key_of("c")));
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.admission_rejections, 1u);
+  EXPECT_EQ(stats.evictions, 2u);
+}
+
+TEST(ProductCache, FormerlyHotEntryLosesWithinAnAgingPeriodAfterAShift) {
+  const std::size_t entry = make_product("x", 100)->approx_bytes();
+  ProductCache cache(entry * 2 + entry / 2, 1);
+  const ProductKey old_hot = key_of("old"), new_hot = key_of("new");
+  get_or_put(cache, old_hot);
+  for (int i = 0; i < 3000; ++i) ASSERT_NE(cache.get(old_hot), nullptr);
+
+  // Popularity shifts: each round looks up the new hot key and one one-off
+  // key. Without aging the new key would need 3000 lookups (6000 records)
+  // to catch up; halving every counter each kAgingPeriod / 2 records after
+  // the first period lets it win within one period's worth of records.
+  std::uint32_t records = 0;
+  bool shifted = false;
+  for (int round = 0; round < 4000 && !shifted; ++round) {
+    get_or_put(cache, new_hot);
+    get_or_put(cache, key_of("once" + std::to_string(round)));
+    records += 2;
+    if (round == 0) EXPECT_TRUE(cache.contains(old_hot));  // LRU evicts it here
+    shifted = !cache.contains(old_hot);
+  }
+  ASSERT_TRUE(shifted);
+  EXPECT_LT(records, serve::FrequencySketch::kAgingPeriod);
+  EXPECT_TRUE(cache.contains(new_hot));
+}
+
+TEST(ProductCache, ConcurrentGetPutPeekOverThreeEntries) {
+  const std::size_t entry = make_product("x", 100)->approx_bytes();
+  ProductCache cache(entry * 3 + entry / 2, 1);
+  constexpr std::size_t kKeys = 8;
+  std::vector<std::shared_ptr<const GranuleProduct>> products;
+  for (std::size_t k = 0; k < kKeys; ++k)
+    products.push_back(make_product("k" + std::to_string(k), 100));
+
+  std::atomic<std::uint64_t> gets{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      util::Rng rng(700 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 4000; ++i) {
+        // Skewed toward low keys, so the sketch has something to tell.
+        const std::size_t k = std::min(rng.next() % kKeys, rng.next() % kKeys);
+        const ProductKey key = key_of(products[k]->granule_id);
+        std::shared_ptr<const GranuleProduct> got;
+        switch (rng.next() % 3) {
+          case 0:
+            got = cache.get(key);
+            gets.fetch_add(1);
+            break;
+          case 1:
+            cache.put(key, products[k]);
+            break;
+          default:
+            got = cache.peek(key);
+        }
+        if (got && got != products[k]) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, gets.load());
+  EXPECT_LE(stats.entries, 3u);
+  EXPECT_LE(stats.bytes, cache.byte_budget());
+  EXPECT_LE(stats.admission_rejections, stats.evictions);
+}
+
+// ---------------------------------------------------------------------------
+// FrequencySketch
+// ---------------------------------------------------------------------------
+
+using serve::FrequencySketch;
+
+std::size_t hash_of(const std::string& id) { return serve::ProductKeyHash{}(key_of(id)); }
+
+TEST(FrequencySketch, EstimateIsNeverBelowTheTrueCountWithinAnAgingPeriod) {
+  // 300 keys over 512 counters per row: collisions are certain, and they
+  // can only raise an estimate. 300 x at most 12 records stay within one
+  // aging period.
+  std::vector<std::uint32_t> truth(300);
+  util::Rng rng(5);
+  for (auto& n : truth) n = 1 + static_cast<std::uint32_t>(rng.next() % 12);
+  FrequencySketch sketch;
+  for (std::uint32_t round = 0; round < 12; ++round)
+    for (std::size_t k = 0; k < truth.size(); ++k)
+      if (round < truth[k]) sketch.record(hash_of("k" + std::to_string(k)));
+  std::size_t exact = 0;
+  for (std::size_t k = 0; k < truth.size(); ++k) {
+    const std::uint32_t estimate = sketch.estimate(hash_of("k" + std::to_string(k)));
+    EXPECT_GE(estimate, truth[k]) << "key " << k;
+    exact += estimate == truth[k];
+  }
+  EXPECT_GT(exact, truth.size() * 3 / 4);  // the minimum over rows is mostly exact
+  EXPECT_EQ(sketch.estimate(hash_of("never recorded")), 0u);
+}
+
+TEST(FrequencySketch, AgingHalvesEveryCounterAndTheRecordCount) {
+  constexpr std::uint32_t kPeriod = FrequencySketch::kAgingPeriod;
+  FrequencySketch sketch;
+  const std::size_t hot = hash_of("hot"), cold = hash_of("cold");
+  for (std::uint32_t i = 0; i + 1 < kPeriod; ++i) sketch.record(hot);
+  EXPECT_EQ(sketch.estimate(hot), kPeriod - 1);
+  sketch.record(cold);  // the period's last record halves every counter
+  EXPECT_EQ(sketch.estimate(hot), (kPeriod - 1) / 2);
+  EXPECT_EQ(sketch.estimate(cold), 0u);
+  // The record count was halved too: the next halving comes half a period
+  // later.
+  for (std::uint32_t i = 0; i + 1 < kPeriod / 2; ++i) sketch.record(cold);
+  EXPECT_EQ(sketch.estimate(hot), (kPeriod - 1) / 2);
+  EXPECT_EQ(sketch.estimate(cold), kPeriod / 2 - 1);
+  sketch.record(cold);
+  EXPECT_EQ(sketch.estimate(hot), (kPeriod - 1) / 4);
+  EXPECT_EQ(sketch.estimate(cold), kPeriod / 4);
+}
+
+TEST(FrequencySketch, CountersSaturateBelowTheAgingPeriod) {
+  // A key recorded without end: its counters never exceed the record
+  // count, which aging keeps below kAgingPeriod, so they settle there
+  // instead of growing or wrapping.
+  constexpr std::uint32_t kPeriod = FrequencySketch::kAgingPeriod;
+  FrequencySketch sketch;
+  const std::size_t key = hash_of("busy");
+  std::uint32_t peak = 0;
+  for (std::uint32_t i = 0; i < 20 * kPeriod; ++i) {
+    sketch.record(key);
+    peak = std::max(peak, sketch.estimate(key));
+  }
+  EXPECT_EQ(peak, kPeriod - 1);
+  EXPECT_GE(sketch.estimate(key), kPeriod / 2);
 }
 
 TEST(ConfigFingerprint, SensitiveToConfigAndMethod) {
@@ -648,6 +837,98 @@ TEST_F(DiskCacheTest, StaleProductOfABeamGoesBeforeItsFreshOne) {
   EXPECT_TRUE(cache.contains(a2));
   EXPECT_EQ(cache.stats().evictions, 2u);
   EXPECT_EQ(cache.stats().seed_evictions, 0u);
+}
+
+TEST_F(DiskCacheTest, ColdWriteThatWouldDisplaceAHotterFileIsSkipped) {
+  const GranuleProduct p = rich_product(0);
+  const ProductKey a1 = beam_key("ATL03_A", 1), a2 = beam_key("ATL03_A", 2),
+                   a3 = beam_key("ATL03_A", 3), b1 = beam_key("ATL03_B", 1);
+  DiskCache cache({dir_, budget_for_files(3)});
+  for (const ProductKey& k : {a1, a2, b1}) {
+    ASSERT_TRUE(cache.put(k, p));
+    ASSERT_NE(cache.get(k), nullptr);
+  }
+  // A3 is new, beam A has resident products and the directory is full: the
+  // write would displace A1 (read once), and A3 was never read. It is
+  // skipped before any IO, so a write fault armed on every call never fires.
+  util::fault::Plan plan(41);
+  util::fault::SiteConfig always;
+  always.fail_every = 1;
+  plan.on("disk.write", always);
+  {
+    util::fault::Armed armed(plan);
+    EXPECT_FALSE(cache.put(a3, p));
+  }
+  EXPECT_EQ(plan.hits("disk.write"), 0u);
+  EXPECT_FALSE(cache.contains(a3));
+  EXPECT_FALSE(std::filesystem::exists(path_for(a3)));
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.writes, 3u);
+  EXPECT_EQ(stats.admission_rejections, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 3u);
+
+  // Once A3 is read as often as A1, the tie admits it and A1 goes.
+  EXPECT_EQ(cache.get(a3), nullptr);
+  EXPECT_TRUE(cache.put(a3, p));
+  EXPECT_TRUE(cache.contains(a3));
+  EXPECT_FALSE(cache.contains(a1));
+  stats = cache.stats();
+  EXPECT_EQ(stats.writes, 4u);
+  EXPECT_EQ(stats.admission_rejections, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+}
+
+TEST_F(DiskCacheTest, BeamsFirstProductIsWrittenEvenWhenColderThanEveryVictim) {
+  // C1 would be its beam's seed: no admission check, whatever it displaces.
+  const GranuleProduct p = rich_product(0);
+  const ProductKey a1 = beam_key("ATL03_A", 1), a2 = beam_key("ATL03_A", 2),
+                   b1 = beam_key("ATL03_B", 1), c1 = beam_key("ATL03_C", 1);
+  DiskCache cache({dir_, budget_for_files(3)});
+  for (const ProductKey& k : {a1, a2, b1}) {
+    ASSERT_TRUE(cache.put(k, p));
+    for (int i = 0; i < 3; ++i) ASSERT_NE(cache.get(k), nullptr);
+  }
+  EXPECT_TRUE(cache.put(c1, p));
+  EXPECT_TRUE(cache.contains(c1));
+  EXPECT_FALSE(cache.contains(a1));  // the LRU end, not a seed
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.admission_rejections, 0u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 3u);
+}
+
+TEST_F(DiskCacheTest, SketchStartsEmptyAfterARestartSoFirstEvictionsAreLru) {
+  const GranuleProduct p = rich_product(0);
+  const ProductKey a1 = beam_key("ATL03_A", 1), a2 = beam_key("ATL03_A", 2),
+                   a3 = beam_key("ATL03_A", 3), b1 = beam_key("ATL03_B", 1);
+  {
+    DiskCache cache({dir_, budget_for_files(3)});
+    for (const ProductKey& k : {a1, a2, b1}) ASSERT_TRUE(cache.put(k, p));
+    for (int i = 0; i < 5; ++i) ASSERT_NE(cache.get(a1), nullptr);
+  }
+  // Make A1 the oldest file, so the rebuilt manifest has it at the LRU end.
+  const auto now = std::filesystem::file_time_type::clock::now();
+  int age = 3;
+  for (const ProductKey& k : {a1, a2, b1})
+    std::filesystem::last_write_time(path_for(k), now - std::chrono::minutes(age--));
+
+  // A1's reads were not persisted: A3 ties with it at 0 and is written.
+  DiskCache reopened({dir_, budget_for_files(3)});
+  EXPECT_TRUE(reopened.put(a3, p));
+  EXPECT_FALSE(reopened.contains(a1));
+  EXPECT_TRUE(reopened.contains(a2));
+  EXPECT_TRUE(reopened.contains(a3));
+  EXPECT_EQ(reopened.stats().admission_rejections, 0u);
+  EXPECT_EQ(reopened.stats().evictions, 1u);
+}
+
+TEST_F(DiskCacheTest, EncodedSizeIsTheSerializedSize) {
+  for (const std::uint64_t seed : {0u, 1u, 7u}) {
+    const GranuleProduct p = rich_product(seed, 16 * seed);
+    EXPECT_EQ(DiskCache::encoded_size(rich_key(seed), p),
+              DiskCache::serialize(rich_key(seed), p).size());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1302,6 +1583,48 @@ TEST_F(ServeCampaign, WarmViaEngineThenEverythingHits) {
   const auto m = service->metrics();
   EXPECT_EQ(m.scheduler.dispatched, 0u);  // warm bypasses the queue entirely
   EXPECT_EQ(m.fast_hits, all.size());
+}
+
+TEST_F(ServeCampaign, WarmThenOneColdSubmitCountsOneRamMiss) {
+  // submit() counts the RAM lookup; the scheduled build re-checks RAM with
+  // a peek, so one request is one miss, and warm-up is none.
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  auto service = make_service(cfg);
+  mapred::Engine engine({1, 1});
+  ASSERT_EQ(service->warm({request(BeamId::Gt1r)}, engine), 1u);
+  EXPECT_EQ(service->metrics().cache.misses, 0u);
+  EXPECT_EQ(service->submit(request(BeamId::Gt2r)).get().source, ServedFrom::build);
+  const auto m = service->metrics();
+  EXPECT_EQ(m.cache.misses, 1u);
+  EXPECT_EQ(m.cache.hits, 0u);
+  EXPECT_EQ(m.scheduler.dispatched, 1u);
+}
+
+TEST_F(ServeCampaign, PromotedPeerProductIsARamHitEvenWhenColder) {
+  // The cluster's peer fetch: promote_ram inserts a product another node
+  // built, then submit must answer it from RAM. The insert takes the
+  // window, so it is resident however often the other entries were read.
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_shards = 1;
+  auto peer = make_service(cfg);
+  const auto fetched = peer->submit(request(BeamId::Gt3r)).get().product;
+  std::size_t two_products = 0;
+  for (const BeamId beam : {BeamId::Gt1r, BeamId::Gt2r})
+    two_products += peer->submit(request(beam)).get().product->approx_bytes();
+  cfg.cache_bytes = two_products + two_products / 100;
+  auto service = make_service(cfg);
+  for (const BeamId beam : {BeamId::Gt1r, BeamId::Gt2r}) {
+    ASSERT_EQ(service->submit(request(beam)).get().source, ServedFrom::build);
+    for (int i = 0; i < 3; ++i)
+      ASSERT_EQ(service->submit(request(beam)).get().source, ServedFrom::ram);
+  }
+  service->promote_ram(service->key_for(request(BeamId::Gt3r)), fetched);
+  const ProductResponse response = service->submit(request(BeamId::Gt3r)).get();
+  EXPECT_EQ(response.source, ServedFrom::ram);
+  EXPECT_EQ(response.product, fetched);
+  EXPECT_EQ(service->metrics().scheduler.dispatched, 2u);
 }
 
 TEST_F(ServeCampaign, ConcurrentMixedTrafficUnderEvictionPressure) {
