@@ -7,7 +7,7 @@
 //
 // Self-timed (no external benchmark framework — CI builds with the repo's
 // toolchain only). With a path argument a machine-readable summary is
-// written for tools/bench_trend.py: the all-reduce GB/s sweep across buffer
+// written there (a CI artifact): the all-reduce GB/s sweep across buffer
 // sizes and rank counts, the table-4-style rank sweep of the synchronous
 // trainer on a synthetic task (time per epoch, speedup, accuracy) and the
 // fig-5-style per-epoch curve points.

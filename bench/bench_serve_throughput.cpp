@@ -120,8 +120,8 @@ struct ClusterSection {
   std::vector<bench::LoadgenResult> curve;  ///< one row per offered point
   serve::ClusterMetrics metrics;
 
-  /// Headline numbers tools/bench_trend.py trends: the highest offered
-  /// point's p99 and total shed rate.
+  /// Headline numbers: the highest offered point's p99 and total shed
+  /// rate.
   double p99_ms() const { return curve.empty() ? 0.0 : curve.back().p99(); }
   double shed_rate() const { return curve.empty() ? 0.0 : curve.back().shed_rate(); }
 };
@@ -171,7 +171,7 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
         << (last ? "\n" : ",\n");
   };
   // The queue-wait vs service-time split of the highest worker-count run's
-  // cold pass (scheduled jobs only) — the two columns tools/bench_trend.py trends.
+  // cold pass (scheduled jobs only).
   const Latency& qw = rows.back().metrics.queue_wait;
   const Latency& st = rows.back().metrics.service_time;
   out << "{\n  \"scenario\": \"tiny\",\n"
@@ -201,7 +201,7 @@ void write_json(const std::string& path, const std::vector<WorkerRow>& rows,
     out << "    }}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   // Raw per-stage ProductBuilder timings (the seven stage-graph stages) from
-  // the highest worker-count run's cold pass — what tools/bench_trend.py trends.
+  // the highest worker-count run's cold pass.
   out << "  ],\n  \"builder_stages\": {\n";
   if (!rows.empty()) {
     const auto& builder = rows.back().metrics.builder;

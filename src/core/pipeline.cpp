@@ -120,15 +120,7 @@ AutoLabelJobStats run_autolabel_job(mapred::Engine& engine, const ShardSet& shar
   auto result = mapred::run_map_reduce<atl03::Granule, PartitionOut>(
       engine, shards.files.size(),
       /*load=*/[&](std::size_t i) { return h5::load_granule(shards.files[i]); },
-      /*map=*/
-      [&](std::vector<atl03::Granule>& parts) {
-        // Key assignment: stable ordering by (pair, id) — Spark's cheap
-        // narrow transformation before the shuffle.
-        std::vector<std::size_t> keys(parts.size());
-        for (std::size_t i = 0; i < parts.size(); ++i)
-          keys[i] = shards.pair_of_file[i] * 131 + i;
-        (void)keys;
-      },
+      /*map=*/[](std::vector<atl03::Granule>&) {},
       /*reduce=*/
       [&](atl03::Granule& shard, std::size_t i) {
         const std::size_t pair = shards.pair_of_file[i];
@@ -184,13 +176,7 @@ FreeboardJobStats run_freeboard_job(mapred::Engine& engine, const ShardSet& shar
   auto result = mapred::run_map_reduce<atl03::Granule, PartitionOut>(
       engine, shards.files.size(),
       /*load=*/[&](std::size_t i) { return h5::load_granule(shards.files[i]); },
-      /*map=*/
-      [&](std::vector<atl03::Granule>& parts) {
-        std::vector<std::size_t> keys(parts.size());
-        for (std::size_t i = 0; i < parts.size(); ++i)
-          keys[i] = shards.pair_of_file[i] * 131 + i;
-        (void)keys;
-      },
+      /*map=*/[](std::vector<atl03::Granule>&) {},
       /*reduce=*/
       [&](atl03::Granule& shard, std::size_t i) {
         const std::size_t pair = shards.pair_of_file[i];

@@ -54,7 +54,8 @@ TrainingData assemble_training_data(const std::vector<LabeledPair>& pairs,
 
 // ---------------------------------------------------------------------------
 // Staged map-reduce jobs (Tables II and V). Partitions are shard files; LOAD
-// reads and decodes them, MAP does the per-partition key/plan assignment,
+// reads and decodes them, MAP is a no-op barrier (partitions keep shard
+// order, so there is nothing to assign; its time stays a reported column),
 // REDUCE runs the heavy per-partition computation.
 // ---------------------------------------------------------------------------
 

@@ -15,15 +15,12 @@ std::uint64_t make_tag(std::uint64_t op, unsigned phase, unsigned step) {
 
 }  // namespace
 
+// transport_ is declared before state_, so it rejects n_ranks < 1 before
+// state_ is sized.
 Communicator::Communicator(int n_ranks, double recv_timeout_ms)
-    : Communicator(n_ranks, std::make_shared<InProcessTransport>(n_ranks, recv_timeout_ms)) {}
-
-Communicator::Communicator(int n_ranks, std::shared_ptr<Transport> transport)
-    : n_ranks_(n_ranks), transport_(std::move(transport)), state_(static_cast<std::size_t>(n_ranks)) {
-  if (n_ranks < 1) throw std::invalid_argument("Communicator: need at least one rank");
-  if (transport_->size() != n_ranks)
-    throw std::invalid_argument("Communicator: transport group size mismatch");
-}
+    : n_ranks_(n_ranks),
+      transport_(n_ranks, recv_timeout_ms),
+      state_(static_cast<std::size_t>(n_ranks)) {}
 
 std::uint64_t Communicator::next_op(int rank) {
   if (rank < 0 || rank >= n_ranks_)
@@ -62,12 +59,12 @@ void Communicator::allreduce_sum_body(int rank, float* data, std::size_t n, std:
   for (int s = 0; s < N - 1; ++s) {
     const int send_c = ring_chunk(rank - s);
     const int recv_c = ring_chunk(rank - s - 1);
-    transport_->send(rank, next, make_tag(op, 0, static_cast<unsigned>(s)), data + off(send_c),
-                     chunk_len(send_c));
+    transport_.send(rank, next, make_tag(op, 0, static_cast<unsigned>(s)), data + off(send_c),
+                    chunk_len(send_c));
     const std::size_t len = chunk_len(recv_c);
     st.scratch.resize(len);
-    transport_->recv(prev, rank, make_tag(op, 0, static_cast<unsigned>(s)), st.scratch.data(),
-                     len);
+    transport_.recv(prev, rank, make_tag(op, 0, static_cast<unsigned>(s)), st.scratch.data(),
+                    len);
     float* d = data + off(recv_c);
     for (std::size_t i = 0; i < len; ++i) d[i] += st.scratch[i];
   }
@@ -76,10 +73,10 @@ void Communicator::allreduce_sum_body(int rank, float* data, std::size_t n, std:
   for (int s = 0; s < N - 1; ++s) {
     const int send_c = ring_chunk(rank + 1 - s);
     const int recv_c = ring_chunk(rank - s);
-    transport_->send(rank, next, make_tag(op, 1, static_cast<unsigned>(s)), data + off(send_c),
-                     chunk_len(send_c));
-    transport_->recv(prev, rank, make_tag(op, 1, static_cast<unsigned>(s)), data + off(recv_c),
-                     chunk_len(recv_c));
+    transport_.send(rank, next, make_tag(op, 1, static_cast<unsigned>(s)), data + off(send_c),
+                    chunk_len(send_c));
+    transport_.recv(prev, rank, make_tag(op, 1, static_cast<unsigned>(s)), data + off(recv_c),
+                    chunk_len(recv_c));
   }
 }
 
@@ -98,9 +95,9 @@ void Communicator::broadcast(int rank, float* data, std::size_t n, int root) {
   guarded("broadcast", [&] {
     if (rank == root) {
       for (int r = 0; r < n_ranks_; ++r)
-        if (r != root) transport_->send(root, r, make_tag(op, 2, 0), data, n);
+        if (r != root) transport_.send(root, r, make_tag(op, 2, 0), data, n);
     } else {
-      transport_->recv(root, rank, make_tag(op, 2, 0), data, n);
+      transport_.recv(root, rank, make_tag(op, 2, 0), data, n);
     }
   });
 }

@@ -12,9 +12,9 @@
 // contributions accumulate in ring order starting from a chunk-determined
 // rank, and every reduction step consumes one specific tagged message — so
 // the result is bit-identical run-to-run and independent of rank arrival
-// order or thread scheduling (the same fixed-order-reduction policy
-// docs/performance.md sets for OpenMP; stressed in
-// test_parallel_determinism). All ranks finish with byte-identical buffers.
+// order or thread scheduling (the fixed-order-reduction policy of
+// docs/performance.md; stressed in test_parallel_determinism). All ranks
+// finish with byte-identical buffers.
 //
 // Reuse: collectives are sequenced per rank by an op counter baked into the
 // message tags, so one Communicator serves an arbitrary collective sequence
@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "dist/transport.hpp"
@@ -40,15 +39,13 @@ class Communicator {
   /// aborts the collective on ALL ranks with CollectiveAbort instead of
   /// deadlocking the ring.
   explicit Communicator(int n_ranks, double recv_timeout_ms = 0.0);
-  /// Same collectives over a caller-supplied transport (the socket seam).
-  Communicator(int n_ranks, std::shared_ptr<Transport> transport);
 
   int size() const { return n_ranks_; }
 
   /// Poison the group: every rank blocked or subsequently entering a
   /// collective throws CollectiveAbort (delegates to the transport).
-  void abort(const std::string& reason) { transport_->abort(reason); }
-  bool aborted() const { return transport_->aborted(); }
+  void abort(const std::string& reason) { transport_.abort(reason); }
+  bool aborted() const { return transport_.aborted(); }
 
   /// In-place ring all-reduce: every rank's buffer becomes the element-wise
   /// sum over ranks (byte-identical on all ranks).
@@ -98,13 +95,13 @@ class Communicator {
     } catch (const CollectiveAbort&) {
       throw;
     } catch (const std::exception& e) {
-      transport_->abort(std::string(what) + ": " + e.what());
+      transport_.abort(std::string(what) + ": " + e.what());
       throw CollectiveAbort(std::string("collective aborted: ") + what + ": " + e.what());
     }
   }
 
   int n_ranks_;
-  std::shared_ptr<Transport> transport_;
+  InProcessTransport transport_;
   std::vector<RankState> state_;
 };
 

@@ -1,11 +1,10 @@
 // Point-to-point transport behind the dist collectives.
 //
-// `Transport` is the seam the ring all-reduce is written against: a fixed
-// group of `size()` ranks exchanging tagged float messages over directed
-// (src, dst) channels. The in-process implementation below backs the
-// thread-per-rank harness; a socket transport implementing the same four
-// methods slots in underneath `Communicator` unchanged when the fleet goes
-// cross-process.
+// `InProcessTransport` carries the ring all-reduce: a fixed group of
+// `size()` rank threads in one process exchanging tagged float messages
+// over directed (src, dst) channels. Ranks are threads of one process
+// (docs/distributed.md), so it is the only transport, and `Communicator`
+// owns one directly.
 //
 // Semantics the collectives rely on:
 //  * send() is buffered: it enqueues and returns without waiting for the
@@ -50,49 +49,38 @@ class CollectiveAbort : public std::runtime_error {
   explicit CollectiveAbort(const std::string& what) : std::runtime_error(what) {}
 };
 
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  /// Number of ranks in the group.
-  virtual int size() const = 0;
-
-  /// Buffered send of `n` floats from `src` toward `dst`; returns
-  /// immediately (never blocks on the receiver).
-  virtual void send(int src, int dst, std::uint64_t tag, const float* data, std::size_t n) = 0;
-
-  /// Blocking receive of the next message on the (src, dst) channel into
-  /// `data`. Throws std::runtime_error when the head message's tag or
-  /// length does not match — the collective sequence diverged across ranks
-  /// (the message is left at the channel head). Throws CollectiveAbort on
-  /// recv timeout or when the transport has been abort()ed.
-  virtual void recv(int src, int dst, std::uint64_t tag, float* data, std::size_t n) = 0;
-
-  /// Poison the transport group-wide: every rank blocked in recv() wakes
-  /// and throws CollectiveAbort carrying `reason`; subsequent sends and
-  /// recvs throw immediately. Idempotent (the first reason wins).
-  virtual void abort(const std::string& reason) = 0;
-
-  /// True once abort() has been called.
-  virtual bool aborted() const = 0;
-};
-
 /// Thread-mailbox transport: one mutex+cv FIFO per directed rank pair.
 /// Payloads are copied on send (the buffered-send contract above) and copied
 /// out on receive; message buffers are recycled through a per-channel free
 /// list so steady-state collectives allocate nothing.
-class InProcessTransport : public Transport {
+class InProcessTransport {
  public:
   /// `recv_timeout_ms` bounds every recv wait (0 = wait forever). On
   /// timeout the transport self-aborts — the timing-out rank poisons the
   /// group before throwing, so no surviving rank stays blocked.
   explicit InProcessTransport(int n_ranks, double recv_timeout_ms = 0.0);
 
-  int size() const override { return n_ranks_; }
-  void send(int src, int dst, std::uint64_t tag, const float* data, std::size_t n) override;
-  void recv(int src, int dst, std::uint64_t tag, float* data, std::size_t n) override;
-  void abort(const std::string& reason) override;
-  bool aborted() const override { return aborted_.load(std::memory_order_acquire); }
+  /// Number of ranks in the group.
+  int size() const { return n_ranks_; }
+
+  /// Buffered send of `n` floats from `src` toward `dst`; returns
+  /// immediately (never blocks on the receiver).
+  void send(int src, int dst, std::uint64_t tag, const float* data, std::size_t n);
+
+  /// Blocking receive of the next message on the (src, dst) channel into
+  /// `data`. Throws std::runtime_error when the head message's tag or
+  /// length does not match — the collective sequence diverged across ranks
+  /// (the message is left at the channel head). Throws CollectiveAbort on
+  /// recv timeout or when the transport has been abort()ed.
+  void recv(int src, int dst, std::uint64_t tag, float* data, std::size_t n);
+
+  /// Poison the transport group-wide: every rank blocked in recv() wakes
+  /// and throws CollectiveAbort carrying `reason`; subsequent sends and
+  /// recvs throw immediately. Idempotent (the first reason wins).
+  void abort(const std::string& reason);
+
+  /// True once abort() has been called.
+  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
 
   double recv_timeout_ms() const { return recv_timeout_ms_; }
 

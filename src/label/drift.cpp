@@ -64,31 +64,20 @@ DriftEstimate estimate_drift(const s2::ClassRaster& raster,
   best.shift = {0.0, 0.0};
 
   const int n_radii = static_cast<int>(cfg.max_shift_m / cfg.step_m);
-  // Polar grid search, parallel over directions.
-  std::vector<DriftEstimate> per_dir(static_cast<std::size_t>(cfg.directions));
-#pragma omp parallel for schedule(dynamic)
+  // Polar grid search in (direction, radius) order: the first strict
+  // maximum wins, so ties resolve the same way on every run.
   for (int d = 0; d < cfg.directions; ++d) {
     const double theta = 2.0 * geo::pi * static_cast<double>(d) / cfg.directions;
-    DriftEstimate local;
-    local.score = -2.0;
     for (int r = 1; r <= n_radii; ++r) {
       const double dist = static_cast<double>(r) * cfg.step_m;
       const geo::Xy shift{dist * std::cos(theta), dist * std::sin(theta)};
       const double sc = score_shift(raster, segments, baseline, stride, shift, cfg);
-      if (sc > local.score) {
-        local.score = sc;
-        local.shift = shift;
+      if (sc > best.score) {
+        best.score = sc;
+        best.shift = shift;
       }
     }
-    per_dir[static_cast<std::size_t>(d)] = local;
   }
-  for (const auto& cand : per_dir) {
-    if (cand.score > best.score) {
-      best.score = cand.score;
-      best.shift = cand.shift;
-    }
-  }
-  best.score_unshifted = score_shift(raster, segments, baseline, stride, {0.0, 0.0}, cfg);
   return best;
 }
 

@@ -44,11 +44,8 @@ std::vector<SurfaceClass> overlay_labels(const s2::ClassRaster& raster,
                                          const std::vector<resample::Segment>& segments,
                                          const OverlayConfig& config) {
   std::vector<SurfaceClass> out(segments.size(), SurfaceClass::Unknown);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(segments.size()); ++i) {
-    const auto& seg = segments[static_cast<std::size_t>(i)];
-    out[static_cast<std::size_t>(i)] = sample_label(raster, {seg.x, seg.y}, config);
-  }
+  for (std::size_t i = 0; i < segments.size(); ++i)
+    out[i] = sample_label(raster, {segments[i].x, segments[i].y}, config);
   return out;
 }
 

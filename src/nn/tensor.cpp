@@ -21,9 +21,9 @@ namespace {
 // are the classifier's hottest transcendentals, and libm expf's
 // special-case handling costs several times this. Pure float arithmetic —
 // no table lookups, no FMA contraction sensitivity that matters at this
-// accuracy — so results are identical across ISAs, OpenMP on/off and
-// thread counts. Used only by the activation helpers below; the losses and
-// softmax keep libm exp (their bit-stability oracle predates this kernel).
+// accuracy — so results are identical across ISAs. Used only by the
+// activation helpers below; the losses and softmax keep libm exp (their
+// bit-stability oracle predates this kernel).
 inline float poly_exp_tail(float r) {
   float p = 1.9875691500e-4f;
   p = p * r + 1.3981999507e-3f;
@@ -128,16 +128,12 @@ float activate_grad_from_y(Activation a, float y) {
 
 namespace {
 
-// Below this many multiply-adds the OpenMP fork overhead dominates; the
-// classifier's matrices are tiny so the serial path is the common case.
-constexpr std::size_t kParallelThreshold = 1u << 20;
-
 // Number of independent partial sums each gemm_nt dot product is split
 // into. Fixed in code (not tied to any SIMD width) so the summation order
 // — and therefore the result, bit for bit — is identical whether the
-// compiler emits SSE, AVX2, AVX-512 or scalar code, and whether OpenMP is
-// on or off. 8 lanes break the scalar add-latency chain that bounds the
-// reference kernel while a 4-column tile still fits 16 SSE registers.
+// compiler emits SSE, AVX2, AVX-512 or scalar code. 8 lanes break the
+// scalar add-latency chain that bounds the reference kernel while a
+// 4-column tile still fits 16 SSE registers.
 constexpr std::size_t kLanes = 8;
 
 // Register tile over output columns in gemm_nt: 4 B-rows share each A-row
@@ -271,26 +267,14 @@ void gemm_nt(const Mat& a, const Mat& b, Mat& c, bool accumulate) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   if (b.cols() != k || c.rows() != m || c.cols() != n)
     throw std::invalid_argument("gemm_nt: shape mismatch");
-  const bool parallel = m * n * k > kParallelThreshold;
-  // Parallel over output rows only: each element is produced by exactly one
-  // thread with a fixed reduction schedule, so the result is independent of
-  // the thread count.
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(m); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
-    gemm_nt_row(a.row(i), b, c.row(i), n, k, accumulate);
-  }
+  for (std::size_t i = 0; i < m; ++i) gemm_nt_row(a.row(i), b, c.row(i), n, k, accumulate);
 }
 
 void gemm_nn(const Mat& a, const Mat& b, Mat& c, bool accumulate) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   if (b.rows() != k || c.rows() != m || c.cols() != n)
     throw std::invalid_argument("gemm_nn: shape mismatch");
-  const bool parallel = m * n * k > kParallelThreshold;
-  const std::size_t row_blocks = (m + 3) / 4;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t bb = 0; bb < static_cast<std::ptrdiff_t>(row_blocks); ++bb) {
-    const std::size_t i0 = static_cast<std::size_t>(bb) * 4;
+  for (std::size_t i0 = 0; i0 < m; i0 += 4) {
     const std::size_t rt = std::min<std::size_t>(4, m - i0);
     if (!accumulate)
       for (std::size_t r = 0; r < rt; ++r) std::fill(c.row(i0 + r), c.row(i0 + r) + n, 0.0f);
@@ -435,11 +419,7 @@ namespace {
 void dense_forward_packed(const Mat& x, const Mat& wt, const float* IS2_RESTRICT bias,
                           Activation act, Mat* z_store, Mat& y) {
   const std::size_t m = x.rows(), k = x.cols(), n = wt.cols();
-  const bool parallel = m * n * k > kParallelThreshold;
-  const std::size_t row_blocks = (m + 3) / 4;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t bb = 0; bb < static_cast<std::ptrdiff_t>(row_blocks); ++bb) {
-    const std::size_t i0 = static_cast<std::size_t>(bb) * 4;
+  for (std::size_t i0 = 0; i0 < m; i0 += 4) {
     const std::size_t rt = std::min<std::size_t>(4, m - i0);
     for (std::size_t r = 0; r < rt; ++r) std::copy(bias, bias + n, y.row(i0 + r));
     switch (rt) {
@@ -470,10 +450,7 @@ thread_local Mat t_wt_scratch;
 void dense_forward_narrow(const Mat& x, const Mat& w, const float* IS2_RESTRICT bias,
                           Activation act, Mat* z_store, Mat& y) {
   const std::size_t m = x.rows(), k = x.cols(), n = w.rows();
-  const bool parallel = m * n * k > kParallelThreshold;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(m); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < m; ++i) {
     float* yi = y.row(i);
     gemm_nt_row(x.row(i), w, yi, n, k, /*accumulate=*/false, bias);
     if (z_store) std::copy(yi, yi + n, z_store->row(i));

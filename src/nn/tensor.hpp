@@ -11,11 +11,12 @@
 //    the reference per-element summation order (they vectorize across the
 //    contiguous j dimension) and register-tile 4 rows to reuse B-row loads.
 //  * Floating-point summation order is fully determined by the code (lane
-//    structure + blocking), never by the compiler, SIMD width, OpenMP
-//    on/off, or thread count: OpenMP parallelism is over output rows only,
-//    so every output element is produced by exactly one thread in a fixed
-//    order. Results are bit-identical across IS2_ENABLE_OPENMP=ON/OFF and
-//    any OMP_NUM_THREADS.
+//    structure + blocking), never by the compiler or the SIMD width. The
+//    kernels are serial and start no threads: callers scale by tasks
+//    (mapred::Engine, serve workers, rank threads), each running its own
+//    kernels. The `omp simd` loop hints in tensor.cpp only ask for
+//    vectorization; they are compiled with -fopenmp-simd, which needs no
+//    OpenMP runtime.
 //  * The pre-tiling scalar kernels are retained as gemm_*_reference: they
 //    are the test oracles (property tests in test_nn_kernels) and the
 //    baseline bench_nn_kernels measures speedup against. gemm_nn/gemm_tn

@@ -58,18 +58,12 @@ KMeansResult kmeans(const std::vector<float>& points, std::size_t dim, std::size
 
   std::vector<double> sums(k * dim);
   std::vector<std::size_t> counts(k);
-  std::vector<double> best_dist(n);
   for (int iter = 0; iter < max_iters; ++iter) {
     res.iterations = iter + 1;
-    // Assignment (parallel). Per-point best distances land in a scratch
-    // array and are summed serially in index order below: a
-    // `reduction(+:inertia)` would combine partial sums in a
-    // thread-count-dependent order and perturb the float result, so the
-    // inertia would differ between OpenMP on/off runs. This way it is
-    // bit-identical to the serial loop for any thread count.
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-      const auto i = static_cast<std::size_t>(ii);
+    // Assignment. The inertia sums each point's best distance in index
+    // order, so the float result is fixed by the code.
+    double inertia = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
       double best = std::numeric_limits<double>::infinity();
       std::uint32_t best_c = 0;
       for (std::size_t c = 0; c < k; ++c) {
@@ -80,10 +74,8 @@ KMeansResult kmeans(const std::vector<float>& points, std::size_t dim, std::size
         }
       }
       res.labels[i] = best_c;
-      best_dist[i] = best;
+      inertia += best;
     }
-    double inertia = 0.0;
-    for (std::size_t i = 0; i < n; ++i) inertia += best_dist[i];
 
     // Update.
     std::fill(sums.begin(), sums.end(), 0.0);
@@ -115,9 +107,7 @@ std::vector<std::uint32_t> kmeans_assign(const std::vector<float>& points, std::
   const std::size_t n = points.size() / dim;
   const std::size_t k = centroids.size() / dim;
   std::vector<std::uint32_t> labels(n, 0);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < n; ++i) {
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < k; ++c) {
       const double d = sq_dist(&points[i * dim], &centroids[c * dim], dim);

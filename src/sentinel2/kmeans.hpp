@@ -17,7 +17,7 @@ struct KMeansResult {
 };
 
 /// Cluster `n` points of dimension `dim` stored row-major in `points`.
-/// OpenMP-parallel assignment step; deterministic given the seed.
+/// Deterministic given the seed.
 KMeansResult kmeans(const std::vector<float>& points, std::size_t dim, std::size_t k,
                     util::Rng rng, int max_iters = 50, double tol = 1e-4);
 

@@ -67,73 +67,68 @@ Scene SceneSimulator::render(const atl03::SurfaceModel& surface, geo::Xy drift,
   const double thick_threshold =
       cloud_threshold + (1.0 - cloud_threshold) * cfg.thin_cloud_fraction;
 
-#pragma omp parallel
-  {
-    util::Rng rng =
-        util::Rng(seed_ ^ 0x5CE11Eull).fork(static_cast<std::uint64_t>(acquisition_time * 7.0));
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t ri = 0; ri < static_cast<std::ptrdiff_t>(rows); ++ri) {
-      const auto r = static_cast<std::size_t>(ri);
-      // Per-row deterministic noise stream keeps the render reproducible
-      // under OpenMP scheduling.
-      util::Rng row_rng = rng.fork(static_cast<std::uint64_t>(r) * 0x9E37ull + 0x11);
-      for (std::size_t c = 0; c < cols; ++c) {
-        const geo::Xy p = gt.pixel_center(r, c);
-        // Surface feature that sits at pixel p at S2 time was at p - drift at
-        // IS2 time; the surface model is defined at IS2 time.
-        const geo::Xy p_is2 = {p.x - drift.x, p.y - drift.y};
-        const SurfaceSample surf = surface.sample_xy(p_is2);
-        const std::size_t idx = r * cols + c;
+  const util::Rng rng =
+      util::Rng(seed_ ^ 0x5CE11Eull).fork(static_cast<std::uint64_t>(acquisition_time * 7.0));
+  for (std::size_t r = 0; r < rows; ++r) {
+    // Per-row noise stream: a row's pixels depend only on the seed, the
+    // acquisition time and the row index.
+    util::Rng row_rng = rng.fork(static_cast<std::uint64_t>(r) * 0x9E37ull + 0x11);
+    for (std::size_t c = 0; c < cols; ++c) {
+      const geo::Xy p = gt.pixel_center(r, c);
+      // Surface feature that sits at pixel p at S2 time was at p - drift at
+      // IS2 time; the surface model is defined at IS2 time.
+      const geo::Xy p_is2 = {p.x - drift.x, p.y - drift.y};
+      const SurfaceSample surf = surface.sample_xy(p_is2);
+      const std::size_t idx = r * cols + c;
 
-        scene.truth_class.set(r, c, surf.cls);
-        if (surf.cls == SurfaceClass::Unknown) continue;
+      scene.truth_class.set(r, c, surf.cls);
+      if (surf.cls == SurfaceClass::Unknown) continue;
 
-        const Spectrum spec = class_spectrum(surf.cls);
-        float v[4] = {static_cast<float>(surf.reflectance * spec.b02),
-                      static_cast<float>(surf.reflectance * spec.b03),
-                      static_cast<float>(surf.reflectance * spec.b04),
-                      static_cast<float>(surf.reflectance * spec.b08)};
+      const Spectrum spec = class_spectrum(surf.cls);
+      float v[4] = {static_cast<float>(surf.reflectance * spec.b02),
+                    static_cast<float>(surf.reflectance * spec.b03),
+                    static_cast<float>(surf.reflectance * spec.b04),
+                    static_cast<float>(surf.reflectance * spec.b08)};
 
-        // Clouds (defined in S2-time coordinates — clouds do not drift with
-        // the ice).
-        const double cloud_noise = atl03::fbm2d(p.x, p.y, cfg.cloud_scale_m, cloud_seed);
-        double tau = 0.0;
-        if (cloud_noise > cloud_threshold) {
-          const bool thick = cloud_noise > thick_threshold;
-          tau = thick ? 3.0 + 4.0 * (cloud_noise - thick_threshold) / 0.2
-                      : 1.2 * (cloud_noise - cloud_threshold) /
-                            std::max(thick_threshold - cloud_threshold, 1e-6);
-          const double alpha = 1.0 - std::exp(-tau);
-          const float cloud_brightness = 0.92f;
-          for (float& band : v)
-            band = static_cast<float>(band * (1.0 - alpha) + cloud_brightness * alpha);
-        }
-        scene.cloud_tau[idx] = static_cast<float>(tau);
-
-        // Cloud shadow: the cloud field displaced by the sun vector darkens
-        // the surface. Thin clouds throw faint shadows, thick ones strong.
-        // A pixel already under opaque cloud shows the cloud top, not the
-        // shadowed surface, so it is exempt.
-        const double shadow_noise =
-            atl03::fbm2d(p.x + cfg.shadow_offset_x_m, p.y + cfg.shadow_offset_y_m,
-                         cfg.cloud_scale_m, cloud_seed);
-        if (tau < 1.5 && shadow_noise > cloud_threshold) {
-          const double stau = shadow_noise > thick_threshold ? 3.0 : 1.0;
-          const double dim = 1.0 - 0.45 * (1.0 - std::exp(-stau));
-          for (float& band : v) band = static_cast<float>(band * dim);
-          scene.shadow_mask[idx] = 1;
-        }
-
-        // Sensor noise.
+      // Clouds (defined in S2-time coordinates — clouds do not drift with
+      // the ice).
+      const double cloud_noise = atl03::fbm2d(p.x, p.y, cfg.cloud_scale_m, cloud_seed);
+      double tau = 0.0;
+      if (cloud_noise > cloud_threshold) {
+        const bool thick = cloud_noise > thick_threshold;
+        tau = thick ? 3.0 + 4.0 * (cloud_noise - thick_threshold) / 0.2
+                    : 1.2 * (cloud_noise - cloud_threshold) /
+                          std::max(thick_threshold - cloud_threshold, 1e-6);
+        const double alpha = 1.0 - std::exp(-tau);
+        const float cloud_brightness = 0.92f;
         for (float& band : v)
-          band = static_cast<float>(
-              std::clamp(band + cfg.noise_sigma * row_rng.normal(), 0.0, 1.5));
-
-        scene.image.at(Band::B02, r, c) = v[0];
-        scene.image.at(Band::B03, r, c) = v[1];
-        scene.image.at(Band::B04, r, c) = v[2];
-        scene.image.at(Band::B08, r, c) = v[3];
+          band = static_cast<float>(band * (1.0 - alpha) + cloud_brightness * alpha);
       }
+      scene.cloud_tau[idx] = static_cast<float>(tau);
+
+      // Cloud shadow: the cloud field displaced by the sun vector darkens
+      // the surface. Thin clouds throw faint shadows, thick ones strong.
+      // A pixel already under opaque cloud shows the cloud top, not the
+      // shadowed surface, so it is exempt.
+      const double shadow_noise =
+          atl03::fbm2d(p.x + cfg.shadow_offset_x_m, p.y + cfg.shadow_offset_y_m,
+                       cfg.cloud_scale_m, cloud_seed);
+      if (tau < 1.5 && shadow_noise > cloud_threshold) {
+        const double stau = shadow_noise > thick_threshold ? 3.0 : 1.0;
+        const double dim = 1.0 - 0.45 * (1.0 - std::exp(-stau));
+        for (float& band : v) band = static_cast<float>(band * dim);
+        scene.shadow_mask[idx] = 1;
+      }
+
+      // Sensor noise.
+      for (float& band : v)
+        band = static_cast<float>(
+            std::clamp(band + cfg.noise_sigma * row_rng.normal(), 0.0, 1.5));
+
+      scene.image.at(Band::B02, r, c) = v[0];
+      scene.image.at(Band::B03, r, c) = v[1];
+      scene.image.at(Band::B04, r, c) = v[2];
+      scene.image.at(Band::B08, r, c) = v[3];
     }
   }
   return scene;

@@ -36,9 +36,7 @@ Corrected correct_bands(const MultispectralImage& img, const SegmentationConfig&
   // Pass 1: brightness map + cloud handling.
   std::vector<float> brightness(n);
   std::size_t thin_count = 0;
-#pragma omp parallel for schedule(static) reduction(+ : thin_count)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::size_t r = i / cols, c = i % cols;
     float b02 = img.at(Band::B02, r, c);
     const float b03 = img.at(Band::B03, r, c);
@@ -79,12 +77,11 @@ Corrected correct_bands(const MultispectralImage& img, const SegmentationConfig&
   const std::size_t t = cfg.tile_px;
   const std::size_t trows = (rows + t - 1) / t, tcols = (cols + t - 1) / t;
   std::vector<float> tile_median(trows * tcols, 0.0f);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t tii = 0; tii < static_cast<std::ptrdiff_t>(trows * tcols); ++tii) {
-    const auto ti = static_cast<std::size_t>(tii);
+  std::vector<double> vals;
+  vals.reserve(t * t);
+  for (std::size_t ti = 0; ti < trows * tcols; ++ti) {
     const std::size_t tr = ti / tcols, tc = ti % tcols;
-    std::vector<double> vals;
-    vals.reserve(t * t);
+    vals.clear();
     for (std::size_t r = tr * t; r < std::min((tr + 1) * t, rows); ++r)
       for (std::size_t c = tc * t; c < std::min((tc + 1) * t, cols); ++c)
         if (!out.thick_cloud[r * cols + c]) vals.push_back(brightness[r * cols + c]);
@@ -93,9 +90,7 @@ Corrected correct_bands(const MultispectralImage& img, const SegmentationConfig&
 
   // Pass 3: shadow re-gaining.
   std::size_t shadow_count = 0;
-#pragma omp parallel for schedule(static) reduction(+ : shadow_count)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < n; ++i) {
     if (out.thick_cloud[i]) continue;
     const std::size_t r = i / cols, c = i % cols;
     const float med = tile_median[(r / t) * tcols + (c / t)];
@@ -167,9 +162,7 @@ SegmentationResult segment(const MultispectralImage& image, const SegmentationCo
 
   // Assign every pixel.
   std::size_t cloud_pixels = 0;
-#pragma omp parallel for schedule(static) reduction(+ : cloud_pixels)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::size_t r = i / cols, c = i % cols;
     if (corr.thick_cloud[i]) {
       result.labels.set(r, c, SurfaceClass::Unknown);

@@ -1,31 +1,31 @@
-// Threads-on vs threads-off determinism for every pipeline stage that runs
-// under an OpenMP pragma (activated by IS2_ENABLE_OPENMP): label overlay,
-// drift estimation, sentinel2 scene render, k-means and segmentation. Each
-// test runs the same computation at 1 and 4 OpenMP threads and requires
-// bit-identical results — the policy docs/performance.md documents (row-
-// partitioned work, fixed-order reductions, no `reduction(+:float)`).
-// Without OpenMP the pairs still guard run-to-run determinism.
+// Determinism of every parallel path. The batch jobs scale by tasks on a
+// mapred::Engine, so they must give bit-identical results on a 1x1 and a
+// 2x2 engine (partition results combine in partition order). The S2 render,
+// k-means, segmentation, overlay and drift stages are serial and have no
+// engine form; their pairs guard run-to-run determinism (per-row RNG forks,
+// fixed summation orders).
 //
 // The dist tests extend the same policy to the rank-threaded training
 // substrate: ring all-reduce results must not depend on rank arrival order,
 // and a full 4-rank training run must be bit-reproducible.
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "atl03/surface_model.hpp"
+#include "core/campaign.hpp"
+#include "core/config.hpp"
+#include "core/pipeline.hpp"
 #include "dist/comm.hpp"
 #include "dist/trainer.hpp"
 #include "geo/polar_stereo.hpp"
 #include "label/drift.hpp"
 #include "label/overlay.hpp"
+#include "mapred/engine.hpp"
 #include "nn/model.hpp"
 #include "sentinel2/kmeans.hpp"
 #include "sentinel2/scene_sim.hpp"
@@ -36,22 +36,6 @@ namespace {
 
 using namespace is2;
 using atl03::SurfaceClass;
-
-void set_threads(int n) {
-#ifdef _OPENMP
-  omp_set_num_threads(n);
-#else
-  (void)n;
-#endif
-}
-
-int saved_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
 
 /// Striped raster + consistent segments (mirrors test_label's fixture).
 s2::ClassRaster striped_raster(double stripe_m = 400.0, double pixel = 10.0) {
@@ -109,12 +93,8 @@ TEST(ParallelDeterminism, OverlayLabels) {
   const auto segs = striped_segments();
   label::OverlayConfig cfg;
   cfg.vote_radius_px = 1;
-  const int saved = saved_threads();
-  set_threads(1);
   const auto a = label::overlay_labels(raster, segs, cfg);
-  set_threads(4);
   const auto b = label::overlay_labels(raster, segs, cfg);
-  set_threads(saved);
   EXPECT_EQ(a, b);
 }
 
@@ -123,12 +103,8 @@ TEST(ParallelDeterminism, DriftEstimate) {
   const auto segs = striped_segments(400.0, -150.0);
   std::vector<double> baseline(segs.size(), 0.0);
   label::DriftConfig cfg;
-  const int saved = saved_threads();
-  set_threads(1);
   const auto a = label::estimate_drift(raster, segs, baseline, cfg);
-  set_threads(4);
   const auto b = label::estimate_drift(raster, segs, baseline, cfg);
-  set_threads(saved);
   EXPECT_EQ(a.shift.x, b.shift.x);
   EXPECT_EQ(a.shift.y, b.shift.y);
   EXPECT_EQ(a.score, b.score);
@@ -137,12 +113,8 @@ TEST(ParallelDeterminism, DriftEstimate) {
 
 TEST(ParallelDeterminism, SceneRender) {
   SceneFixture fx;
-  const int saved = saved_threads();
-  set_threads(1);
   const auto a = render_scene(fx, 0.25);
-  set_threads(4);
   const auto b = render_scene(fx, 0.25);
-  set_threads(saved);
   ASSERT_EQ(a.image.rows(), b.image.rows());
   ASSERT_EQ(a.image.cols(), b.image.cols());
   for (int band = 0; band < s2::kNumBands; ++band) {
@@ -158,17 +130,13 @@ TEST(ParallelDeterminism, SceneRender) {
 }
 
 TEST(ParallelDeterminism, KMeansInertiaAndLabels) {
-  // The inertia reduction is the one float reduction among the parallel
-  // sites; it must be bit-identical across thread counts (fixed-order sum).
+  // The inertia is a float reduction; it sums in index order, so repeat
+  // runs agree to the bit.
   util::Rng rng(5);
   std::vector<float> points(3 * 4000);
   for (auto& v : points) v = static_cast<float>(rng.uniform(0.0, 1.0));
-  const int saved = saved_threads();
-  set_threads(1);
   const auto a = s2::kmeans(points, 3, 5, util::Rng(11), 25);
-  set_threads(4);
   const auto b = s2::kmeans(points, 3, 5, util::Rng(11), 25);
-  set_threads(saved);
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_EQ(a.centroids, b.centroids);
   EXPECT_EQ(a.inertia, b.inertia);
@@ -179,12 +147,8 @@ TEST(ParallelDeterminism, Segmentation) {
   SceneFixture fx;
   const auto scene = render_scene(fx, 0.3);
   s2::SegmentationConfig cfg;
-  const int saved = saved_threads();
-  set_threads(1);
   const auto a = s2::segment(scene.image, cfg);
-  set_threads(4);
   const auto b = s2::segment(scene.image, cfg);
-  set_threads(saved);
   EXPECT_EQ(a.thick_cloud_pixels, b.thick_cloud_pixels);
   EXPECT_EQ(a.thin_cloud_corrected, b.thin_cloud_corrected);
   EXPECT_EQ(a.shadow_corrected, b.shadow_corrected);
@@ -193,6 +157,76 @@ TEST(ParallelDeterminism, Segmentation) {
   for (std::size_t r = 0; r < a.labels.rows(); ++r)
     for (std::size_t c = 0; c < a.labels.cols(); ++c)
       ASSERT_EQ(a.labels.at(r, c), b.labels.at(r, c));
+}
+
+/// One tiny-campaign pair written as shards: the input of both batch jobs.
+class EngineShapeDeterminism : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    config_ = new core::PipelineConfig(core::PipelineConfig::tiny());
+    campaign_ = new core::Campaign(*config_);
+    const core::PairDataset pair = campaign_->generate(0);
+    dir_ = new std::filesystem::path(std::filesystem::temp_directory_path() /
+                                     "is2_engine_shape_test");
+    std::filesystem::create_directories(*dir_);
+    shards_ = new core::ShardSet;
+    core::write_shards(pair.granule, 0, config_->chunks_per_beam, dir_->string(), *shards_);
+    rasters_ = new std::vector<s2::ClassRaster>{pair.s2_labels};
+    drifts_ = new std::vector<geo::Xy>{pair.pair.true_drift()};
+  }
+  static void TearDownTestSuite() {
+    std::filesystem::remove_all(*dir_);
+    delete drifts_;
+    delete rasters_;
+    delete shards_;
+    delete dir_;
+    delete campaign_;
+    delete config_;
+  }
+
+  static core::PipelineConfig* config_;
+  static core::Campaign* campaign_;
+  static std::filesystem::path* dir_;
+  static core::ShardSet* shards_;
+  static std::vector<s2::ClassRaster>* rasters_;
+  static std::vector<geo::Xy>* drifts_;
+};
+
+core::PipelineConfig* EngineShapeDeterminism::config_ = nullptr;
+core::Campaign* EngineShapeDeterminism::campaign_ = nullptr;
+std::filesystem::path* EngineShapeDeterminism::dir_ = nullptr;
+core::ShardSet* EngineShapeDeterminism::shards_ = nullptr;
+std::vector<s2::ClassRaster>* EngineShapeDeterminism::rasters_ = nullptr;
+std::vector<geo::Xy>* EngineShapeDeterminism::drifts_ = nullptr;
+
+TEST_F(EngineShapeDeterminism, AutoLabelJobBitIdenticalOnOneAndFourWorkers) {
+  mapred::Engine serial({1, 1});
+  mapred::Engine parallel({2, 2});
+  const auto a = core::run_autolabel_job(serial, *shards_, *rasters_, *drifts_,
+                                         campaign_->corrections(), *config_);
+  const auto b = core::run_autolabel_job(parallel, *shards_, *rasters_, *drifts_,
+                                         campaign_->corrections(), *config_);
+  EXPECT_GT(a.segments, 0u);
+  EXPECT_EQ(a.segments, b.segments);
+  EXPECT_EQ(a.labeled, b.labeled);
+  EXPECT_EQ(a.label_accuracy, b.label_accuracy);
+}
+
+TEST_F(EngineShapeDeterminism, FreeboardJobBitIdenticalOnOneAndFourWorkers) {
+  mapred::Engine serial({1, 1});
+  mapred::Engine parallel({2, 2});
+  const auto a = core::run_freeboard_job(serial, *shards_, *rasters_, *drifts_,
+                                         campaign_->corrections(), *config_);
+  const auto b = core::run_freeboard_job(parallel, *shards_, *rasters_, *drifts_,
+                                         campaign_->corrections(), *config_);
+  EXPECT_GT(a.points, 0u);
+  EXPECT_EQ(a.points, b.points);
+  EXPECT_EQ(a.mean_freeboard, b.mean_freeboard);
+  ASSERT_EQ(a.distribution.bins(), b.distribution.bins());
+  for (std::size_t bin = 0; bin < a.distribution.bins(); ++bin)
+    EXPECT_EQ(a.distribution.count(bin), b.distribution.count(bin)) << "bin " << bin;
+  EXPECT_EQ(a.distribution.total(), b.distribution.total());
+  EXPECT_EQ(a.distribution.nan_count(), b.distribution.nan_count());
 }
 
 TEST(ParallelDeterminism, AllreduceArrivalOrderIndependent) {

@@ -5,7 +5,7 @@ Usage:
     lint_invariants.py [--root DIR]    # lint the tree (default: repo root)
     lint_invariants.py --self-test     # prove every rule actually fires
 
-Five rules, each a contract stated in the docs that previously lived only
+Six rules, each a contract stated in the docs that previously lived only
 in review discipline:
 
   R1  obs metric names at Registry call sites are Prometheus-valid
@@ -39,8 +39,15 @@ in review discipline:
       PCLMUL fold is its one measured exception, and this rule keeps it from
       spreading unreviewed. Checked across src/, bench/, examples/, tests/.
 
+  R6  no OpenMP runtime: no `#pragma omp` other than `#pragma omp simd`
+      (a vectorization hint compiled with -fopenmp-simd, which starts no
+      threads), no <omp.h>, no omp_*( call and no _OPENMP guard. Threads
+      come only from util::ThreadPool, mapred::Engine and the dist rank
+      threads. Checked across src/, bench/, examples/, tests/; perfbench/
+      is not checked, as it owns its own thread-budget check.
+
 `--self-test` copies a minimal tree into a tempdir, seeds one violation per
-rule, and asserts the linter exits nonzero having caught all five — CI runs
+rule, and asserts the linter exits nonzero having caught all six — CI runs
 this before the real lint so a silently-broken rule cannot pass the tree.
 
 Exit status: 0 clean, 1 on any violation (all violations are printed),
@@ -74,6 +81,10 @@ ISA_CODE_RE = re.compile(
     r"\bgnu::target(?:_clones)?\s*\()"
 )
 ISA_ALLOWED = os.path.join("src", "h5lite", "h5file.cpp")
+OMP_HEADER_RE = re.compile(r"[<\"]\s*omp\.h\s*[>\"]")
+# Any omp pragma but simd (matched to the end of the line, for the report),
+# an omp_*( runtime call, or an _OPENMP guard.
+OMP_CODE_RE = re.compile(r"^\s*#\s*pragma\s+omp\b(?!\s+simd\b).*|\bomp_\w+\s*\(|\b_OPENMP\b")
 
 CPP_EXTS = (".cpp", ".hpp", ".h", ".cc")
 
@@ -214,29 +225,45 @@ def check_r4_naked_primitives(root: str):
     return violations
 
 
-def check_r5_isa_code(root: str):
-    """R5: intrinsic headers, CPU probes and target attributes stay in the
-    one file that dispatches at run time (src/h5lite/h5file.cpp)."""
-    violations = []
+def code_matches(root: str, header_re, code_re, skip: str = ""):
+    """Yield (path, lineno, match) for every #include whose quoted name
+    matches header_re and every code line matching code_re, over src/,
+    bench/, examples/ and tests/ (except `skip`). Includes keep their quoted
+    name; code is checked with string literals blanked, and both with
+    comments blanked."""
     for path in iter_files(root, ("src", "bench", "examples", "tests")):
-        if rel(root, path) == ISA_ALLOWED:
+        if rel(root, path) == skip:
             continue
         with open(path, encoding="utf-8", errors="replace") as f:
             text = f.read()
-        # Includes keep their quoted name; everything else is checked with
-        # string literals blanked, and both with comments blanked.
         with_strings = strip_comments_and_strings(text, keep_strings=True).splitlines()
         code = strip_comments_and_strings(text).splitlines()
         for lineno, (line, bare) in enumerate(zip(with_strings, code), 1):
-            m = ISA_HEADER_RE.search(line) if INCLUDE_RE.match(bare) else None
-            m = m or ISA_CODE_RE.search(bare)
+            m = header_re.search(line) if INCLUDE_RE.match(bare) else None
+            m = m or code_re.search(bare)
             if m:
-                violations.append(
-                    f"R5 {rel(root, path)}:{lineno}: ISA-specific code "
-                    f"'{m.group(0).strip()}' outside {ISA_ALLOWED} — runtime SIMD "
-                    f"dispatch is parked (ROADMAP); CRC-32 is its one exception"
-                )
-    return violations
+                yield path, lineno, m
+
+
+def check_r5_isa_code(root: str):
+    """R5: intrinsic headers, CPU probes and target attributes stay in the
+    one file that dispatches at run time (src/h5lite/h5file.cpp)."""
+    return [
+        f"R5 {rel(root, path)}:{lineno}: ISA-specific code "
+        f"'{m.group(0).strip()}' outside {ISA_ALLOWED} — runtime SIMD "
+        f"dispatch is parked (ROADMAP); CRC-32 is its one exception"
+        for path, lineno, m in code_matches(root, ISA_HEADER_RE, ISA_CODE_RE, skip=ISA_ALLOWED)
+    ]
+
+
+def check_r6_openmp_runtime(root: str):
+    """R6: no OpenMP runtime; `#pragma omp simd` is the one allowed form."""
+    return [
+        f"R6 {rel(root, path)}:{lineno}: OpenMP runtime use "
+        f"'{m.group(0).strip()}' — threads come from util::ThreadPool, "
+        f"mapred::Engine and rank threads; only `#pragma omp simd` is allowed"
+        for path, lineno, m in code_matches(root, OMP_HEADER_RE, OMP_CODE_RE)
+    ]
 
 
 def run_lint(root: str) -> int:
@@ -246,6 +273,7 @@ def run_lint(root: str) -> int:
     violations += check_r3_threading_contracts(root)
     violations += check_r4_naked_primitives(root)
     violations += check_r5_isa_code(root)
+    violations += check_r6_openmp_runtime(root)
     for v in violations:
         print(v)
     if violations:
@@ -256,7 +284,7 @@ def run_lint(root: str) -> int:
 
 
 def self_test() -> int:
-    """Seed one violation per rule in a scratch tree; all five must fire."""
+    """Seed one violation per rule in a scratch tree; all six must fire."""
     with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:
         os.makedirs(os.path.join(tmp, "src", "serve"))
         os.makedirs(os.path.join(tmp, "src", "util"))
@@ -300,6 +328,25 @@ def self_test() -> int:
                 '__attribute__((target("pclmul,sse4.1"))) int fold();\n'
                 'bool ok = __builtin_cpu_supports("pclmul");\n'
             )
+        # R6: a parallel region in tests/, then a decoy with the allowed simd
+        # hint and the runtime's names only in comments and strings.
+        os.makedirs(os.path.join(tmp, "tests"))
+        with open(os.path.join(tmp, "tests", "test_threads.cpp"), "w") as f:
+            f.write(
+                "void f(int* v) {\n"
+                "#pragma omp parallel for\n"
+                "  for (int i = 0; i < 8; ++i) v[i] = i;\n"
+                "}\n"
+            )
+        with open(os.path.join(tmp, "src", "util", "simd_decoy.cpp"), "w") as f:
+            f.write(
+                "// omp_get_max_threads() and #ifdef _OPENMP in a comment\n"
+                'const char* kNote = "#include <omp.h>";\n'
+                "void g(float* v) {\n"
+                "#pragma omp simd\n"
+                "  for (int i = 0; i < 8; ++i) v[i] = 0.0f;\n"
+                "}\n"
+            )
 
         found = []
         found += check_r1_metric_names(tmp)
@@ -307,11 +354,12 @@ def self_test() -> int:
         found += check_r3_threading_contracts(tmp)
         found += check_r4_naked_primitives(tmp)
         found += check_r5_isa_code(tmp)
+        found += check_r6_openmp_runtime(tmp)
         for v in found:
             print(f"  seeded: {v}")
 
         fired = {v.split()[0] for v in found}
-        missing = {"R1", "R2", "R3", "R4", "R5"} - fired
+        missing = {"R1", "R2", "R3", "R4", "R5", "R6"} - fired
         if missing:
             print(f"self-test FAILED: rule(s) did not fire: {sorted(missing)}")
             return 1
@@ -322,6 +370,10 @@ def self_test() -> int:
         r5_files = {v.split()[1].rsplit(":", 2)[0] for v in found if v.startswith("R5")}
         if r5_files != {os.path.join("src", "serve", "simd.cpp")}:
             print("self-test FAILED: R5 fired on a comment/string or the allowed file")
+            return 1
+        r6_files = {v.split()[1].rsplit(":", 2)[0] for v in found if v.startswith("R6")}
+        if r6_files != {os.path.join("tests", "test_threads.cpp")}:
+            print("self-test FAILED: R6 fired on `omp simd`, a comment or a string")
             return 1
         if run_lint_exit_nonzero(tmp) != 1:
             print("self-test FAILED: lint on a seeded tree must exit 1")
