@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <span>
+#include <utility>
 
 #include "geo/polar_stereo.hpp"
 #include "util/check.hpp"
@@ -12,6 +13,10 @@
 namespace is2::atl03 {
 
 namespace {
+
+/// ATL03's geolocation segment [m]: the product ships its geophysical
+/// corrections once per segment of this along-track length.
+constexpr double kGeolocationSegmentM = 20.0;
 
 /// Interpolate background-rate bins to an arbitrary time.
 double interp_background(const std::vector<double>& bin_t, const std::vector<double>& bin_rate,
@@ -47,38 +52,77 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
   out.track_heading = granule.track_heading;
   out.epoch_time = granule.epoch_time;
 
-  // Confidence filter + projection + geophysical correction. A photon whose
-  // along-track distance or time is not finite cannot be placed on the
-  // track (nor sorted, binned or given a background rate), so it goes too.
+  // Confidence filter. A photon whose along-track distance, time or position
+  // is not finite cannot be placed on the track (nor sorted, binned,
+  // projected or given a background rate), so it goes too.
   const auto n = beam.size();
-  std::vector<std::size_t> keep;
-  keep.reserve(n);
+  std::vector<std::pair<double, std::size_t>> order;  // (along-track, photon)
+  order.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     if (beam.signal_conf[i] >= static_cast<std::int8_t>(config.min_conf) &&
-        std::isfinite(beam.along_track[i]) && std::isfinite(beam.delta_time[i]))
-      keep.push_back(i);
+        std::isfinite(beam.along_track[i]) && std::isfinite(beam.delta_time[i]) &&
+        std::isfinite(beam.lat[i]) && std::isfinite(beam.lon[i]))
+      order.emplace_back(beam.along_track[i], i);
 
   // Sort by along-track distance (footprint jitter makes raw order ragged).
-  std::sort(keep.begin(), keep.end(),
-            [&](std::size_t a, std::size_t b) { return beam.along_track[a] < beam.along_track[b]; });
+  // The comparison reads the distance alone, so ties keep the order a sort
+  // of photon indices by the same comparison leaves them in.
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  out.s.reserve(keep.size());
-  for (std::size_t i : keep) {
+  const bool has_truth = !beam.truth_class.empty();
+  const auto resize_columns = [&](std::size_t size) {
+    for (auto* column : {&out.s, &out.h, &out.t, &out.x, &out.y, &out.bckgrd_rate})
+      column->resize(size);
+    out.truth_class.resize(has_truth ? size : 0);
+  };
+  const std::size_t count = order.size();
+  resize_columns(count);
+
+  // Heights are corrected one geolocation segment at a time: the correction
+  // is evaluated at the segment's first and last photon and interpolated
+  // linearly in along-track distance between them. End photons get the
+  // exact value, and the interpolation never reaches past the segment.
+  const auto correct_segment = [&](std::size_t first, std::size_t last) {
+    const auto correction = [&](std::size_t k) {
+      return corrections.total(granule.epoch_time + out.t[k], out.x[k], out.y[k]);
+    };
+    const double c_first = correction(first);
+    out.h[first] -= c_first;
+    if (last == first) return;
+    const double c_last = correction(last);
+    const double span = out.s[last] - out.s[first];  // 0 when all photons tie
+    for (std::size_t k = first + 1; k < last; ++k) {
+      const double w = span > 0.0 ? (out.s[k] - out.s[first]) / span : 0.0;
+      out.h[k] -= c_first + (c_last - c_first) * w;
+    }
+    out.h[last] -= c_last;
+  };
+
+  // Projection, background rate and the other columns in one pass; a
+  // segment is corrected as soon as its last photon is in.
+  const auto segment_of = [&](std::size_t k) {
+    return std::floor(order[k].first / kGeolocationSegmentM);
+  };
+  std::size_t segment_first = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t i = order[k].second;
     const geo::Xy p = proj.forward({beam.lon[i], beam.lat[i]});
-    double h = beam.h[i];
-    if (config.apply_geo_correction)
-      h -= corrections.total(granule.epoch_time + beam.delta_time[i], p.x, p.y);
-    out.s.push_back(beam.along_track[i]);
-    out.h.push_back(h);
-    out.t.push_back(beam.delta_time[i]);
-    out.x.push_back(p.x);
-    out.y.push_back(p.y);
-    out.bckgrd_rate.push_back(
-        interp_background(beam.bckgrd_delta_time, beam.bckgrd_rate, beam.delta_time[i]));
-    if (!beam.truth_class.empty()) out.truth_class.push_back(beam.truth_class[i]);
+    out.s[k] = order[k].first;
+    out.h[k] = beam.h[i];
+    out.t[k] = beam.delta_time[i];
+    out.x[k] = p.x;
+    out.y[k] = p.y;
+    out.bckgrd_rate[k] =
+        interp_background(beam.bckgrd_delta_time, beam.bckgrd_rate, beam.delta_time[i]);
+    if (has_truth) out.truth_class[k] = beam.truth_class[i];
+    if (!config.apply_geo_correction) continue;
+    if (k + 1 < count && segment_of(k + 1) == segment_of(k)) continue;
+    correct_segment(segment_first, k);
+    segment_first = k + 1;
   }
 
-  if (out.s.empty()) return out;
+  if (count == 0) return out;
 
   // Reject ineffective reference photons: compare each photon to the median
   // height of its along-track bin (binned median = robust local surface).
@@ -93,10 +137,10 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
   };
   std::vector<std::size_t> run_end;  // one past each run's last photon
   std::vector<double> run_median;
-  for (std::size_t i = 0; i < out.s.size();) {
+  for (std::size_t i = 0; i < count;) {
     const std::size_t bin = bin_of(i);
     std::size_t j = i + 1;
-    while (j < out.s.size() && bin_of(j) == bin) ++j;
+    while (j < count && bin_of(j) == bin) ++j;
     run_end.push_back(j);
     run_median.push_back(util::median(std::span<const double>(out.h).subspan(i, j - i)));
     i = j;
@@ -114,23 +158,22 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
     }
   }
 
-  PreprocessedBeam filtered;
-  filtered.beam = out.beam;
-  filtered.track_origin = out.track_origin;
-  filtered.track_heading = out.track_heading;
-  filtered.epoch_time = out.epoch_time;
-  for (std::size_t i = 0, r = 0; i < out.s.size(); ++i) {
+  // Compact the kept photons to the front of every column.
+  std::size_t kept = 0;
+  for (std::size_t i = 0, r = 0; i < count; ++i) {
     if (i == run_end[r]) ++r;
     if (std::abs(out.h[i] - run_median[r]) > config.outlier_threshold_m) continue;
-    filtered.s.push_back(out.s[i]);
-    filtered.h.push_back(out.h[i]);
-    filtered.t.push_back(out.t[i]);
-    filtered.x.push_back(out.x[i]);
-    filtered.y.push_back(out.y[i]);
-    filtered.bckgrd_rate.push_back(out.bckgrd_rate[i]);
-    if (!out.truth_class.empty()) filtered.truth_class.push_back(out.truth_class[i]);
+    out.s[kept] = out.s[i];
+    out.h[kept] = out.h[i];
+    out.t[kept] = out.t[i];
+    out.x[kept] = out.x[i];
+    out.y[kept] = out.y[i];
+    out.bckgrd_rate[kept] = out.bckgrd_rate[i];
+    if (has_truth) out.truth_class[kept] = out.truth_class[i];
+    ++kept;
   }
-  return filtered;
+  resize_columns(kept);
+  return out;
 }
 
 std::vector<PreprocessedBeam> preprocess_strong_beams(const Granule& granule,

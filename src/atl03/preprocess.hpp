@@ -2,7 +2,11 @@
 // or above a signal-confidence threshold, project to EPSG:3976, apply the
 // geophysical height correction, interpolate per-photon background rates from
 // the bckgrd_atlas bins, and reject "ineffective reference photons" (outliers
-// far from the local surface) with a rolling-median filter.
+// far from the local surface) with a rolling-median filter. One columnar pass
+// fills every output column once and the filter compacts them in place. The
+// correction is evaluated at ATL03's 20 m geolocation-segment rate, as the
+// product ships it: exactly at each segment's first and last photon, linearly
+// in along-track distance between them.
 #pragma once
 
 #include <cstdint>

@@ -15,8 +15,9 @@ std::uint64_t make_tag(std::uint64_t op, unsigned phase, unsigned step) {
 
 }  // namespace
 
-// transport_ is declared before state_, so it rejects n_ranks < 1 before
-// state_ is sized.
+// transport_ is declared before state_, and its constructor rejects
+// n_ranks < 1 before it sizes anything, so no member is sized for a bad
+// count.
 Communicator::Communicator(int n_ranks, double recv_timeout_ms)
     : n_ranks_(n_ranks),
       transport_(n_ranks, recv_timeout_ms),

@@ -7,12 +7,19 @@
 
 namespace is2::dist {
 
-InProcessTransport::InProcessTransport(int n_ranks, double recv_timeout_ms)
-    : n_ranks_(n_ranks),
-      recv_timeout_ms_(recv_timeout_ms),
-      channels_(static_cast<std::size_t>(n_ranks) * static_cast<std::size_t>(n_ranks)) {
+namespace {
+
+/// One channel per (src, dst) pair. Checks the count before anything is
+/// sized: a negative one would wrap to an enormous allocation.
+std::size_t channel_count(int n_ranks) {
   if (n_ranks < 1) throw std::invalid_argument("InProcessTransport: need at least one rank");
+  return static_cast<std::size_t>(n_ranks) * static_cast<std::size_t>(n_ranks);
 }
+
+}  // namespace
+
+InProcessTransport::InProcessTransport(int n_ranks, double recv_timeout_ms)
+    : n_ranks_(n_ranks), recv_timeout_ms_(recv_timeout_ms), channels_(channel_count(n_ranks)) {}
 
 InProcessTransport::Channel& InProcessTransport::channel(int src, int dst) {
   return channels_[static_cast<std::size_t>(src) * static_cast<std::size_t>(n_ranks_) +

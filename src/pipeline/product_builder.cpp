@@ -108,7 +108,10 @@ std::uint64_t prefix_fingerprint(const core::PipelineConfig& config, seasurface:
   // corresponding stage prefix reads, so products of shallower kinds keep
   // one cache identity across settings their stages never consume (most
   // importantly: a classification product is method-agnostic).
-  std::uint64_t h = 0x15ECE5E1CEu;  // arbitrary domain tag
+  // Domain tag. It changes when the same inputs start to build different
+  // bytes, so products an older build stored on disk are misses; last when
+  // preprocess moved the height correction to the 20 m segment rate.
+  std::uint64_t h = 0x15ECE5E1CE20u;
   // preprocess .. classify (every kind).
   h = fp_mix(h, config.seed);
   h = fp_mix(h, static_cast<std::uint64_t>(config.sequence_window));

@@ -2,12 +2,15 @@
 // rank counts and buffer sizes, broadcast, distributed optimizer equivalence
 // and the synchronous data-parallel trainer — including the sharding edge
 // cases (uneven tails, dataset smaller than one global batch), the
-// bit-exact ranks=1 fast path and divergent-factory re-alignment.
+// bit-exact ranks=1 fast path and divergent-factory re-alignment — and
+// rank counts below one, rejected before anything is sized.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "dist/comm.hpp"
@@ -103,6 +106,16 @@ TEST(Comm, BytesPerRankFormula) {
   EXPECT_EQ(Communicator::allreduce_bytes_per_rank(1, 100), 0u);
   // 2*(N-1)/N * n floats * 4 bytes with n=100, N=4 -> 2*3*25*4 = 600.
   EXPECT_EQ(Communicator::allreduce_bytes_per_rank(4, 100), 600u);
+}
+
+TEST(Comm, RankCountBelowOneIsRejectedBeforeAnythingIsSized) {
+  // The transport once sized its n_ranks^2 channels before checking the
+  // count: -100000 ran out of memory and INT_MIN wrapped to 2^62 channels.
+  for (const int n : {0, -1, -100000, std::numeric_limits<int>::min()}) {
+    SCOPED_TRACE(n);
+    EXPECT_THROW(Communicator comm(n), std::invalid_argument);
+    EXPECT_THROW(dist::InProcessTransport transport(n), std::invalid_argument);
+  }
 }
 
 TEST(Hvd, DistributedOptimizerAveragesGradients) {

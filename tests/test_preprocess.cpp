@@ -2,8 +2,12 @@
 // outlier rejection (bit-identical to the per-bin reference filter, with NaN
 // heights, gaps and a photon far along the track), along-track ordering,
 // photons with non-finite times or positions, and malformed background bins.
+// The columnar pass against the per-photon reference it replaced: byte for
+// byte without corrections, and with corrections at the 20 m segment rate
+// within measured bounds on heights, segments and freeboard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,7 +17,9 @@
 
 #include "atl03/photon_sim.hpp"
 #include "atl03/preprocess.hpp"
+#include "core/config.hpp"
 #include "geo/polar_stereo.hpp"
+#include "pipeline/product_builder.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -180,25 +186,35 @@ void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b
       << field;
 }
 
-/// preprocess_beam against the per-bin reference applied to the same beam
-/// with the filter off (the largest finite threshold keeps every photon).
-void expect_matches_per_bin_reference(const atl03::Granule& granule,
-                                      const atl03::BeamData& beam,
-                                      const geo::GeoCorrections& corrections) {
-  const PreprocessConfig config;
-  PreprocessConfig unfiltered = config;
-  unfiltered.outlier_threshold_m = std::numeric_limits<double>::max();
-  const auto all = atl03::preprocess_beam(granule, beam, corrections, unfiltered);
-  ASSERT_GT(all.size(), 0u);
-  const auto expected = per_bin_outlier_filter(all, config);
-  const auto got = atl03::preprocess_beam(granule, beam, corrections, config);
+/// Every column byte for byte, the heights too unless `with_h` is false.
+void expect_same_columns(const atl03::PreprocessedBeam& got,
+                         const atl03::PreprocessedBeam& expected, bool with_h = true) {
   expect_same_bits(got.s, expected.s, "s");
-  expect_same_bits(got.h, expected.h, "h");
+  if (with_h) expect_same_bits(got.h, expected.h, "h");
   expect_same_bits(got.t, expected.t, "t");
   expect_same_bits(got.x, expected.x, "x");
   expect_same_bits(got.y, expected.y, "y");
   expect_same_bits(got.bckgrd_rate, expected.bckgrd_rate, "bckgrd_rate");
   EXPECT_EQ(got.truth_class, expected.truth_class);
+}
+
+/// The largest threshold keeps every photon: the outlier filter is off.
+PreprocessConfig unfiltered(PreprocessConfig config = {}) {
+  config.outlier_threshold_m = std::numeric_limits<double>::max();
+  return config;
+}
+
+/// preprocess_beam against the per-bin reference applied to the same beam
+/// with the filter off.
+void expect_matches_per_bin_reference(const atl03::Granule& granule,
+                                      const atl03::BeamData& beam,
+                                      const geo::GeoCorrections& corrections) {
+  const PreprocessConfig config;
+  const auto all = atl03::preprocess_beam(granule, beam, corrections, unfiltered(config));
+  ASSERT_GT(all.size(), 0u);
+  const auto expected = per_bin_outlier_filter(all, config);
+  const auto got = atl03::preprocess_beam(granule, beam, corrections, config);
+  expect_same_columns(got, expected);
 }
 
 TEST(Preprocess, OutlierFilterMatchesPerBinReferenceOnFixtureBeams) {
@@ -209,12 +225,11 @@ TEST(Preprocess, OutlierFilterMatchesPerBinReferenceOnFixtureBeams) {
   }
 }
 
-TEST(Preprocess, OutlierFilterMatchesPerBinReferenceWithNanHeightsAndGaps) {
-  Fixture fx;
-  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+/// Four variants of `raw`: spiked, then NaN heights, then a 1 km gap, and
+/// all heights NaN.
+std::vector<atl03::BeamData> nan_and_gap_beams(const atl03::BeamData& raw) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  double s_min = raw.along_track[0];
-  for (double s : raw.along_track) s_min = std::min(s_min, s);
+  const double s_min = *std::min_element(raw.along_track.begin(), raw.along_track.end());
 
   // Spikes the filter must reject, so the comparison covers rejections.
   auto spiked = raw;
@@ -247,11 +262,17 @@ TEST(Preprocess, OutlierFilterMatchesPerBinReferenceWithNanHeightsAndGaps) {
 
   auto all_nan = raw;
   for (double& h : all_nan.h) h = nan;
+  return {spiked, nans, gap, all_nan};
+}
 
-  for (const auto* beam : {&spiked, &nans, &gap, &all_nan})
-    expect_matches_per_bin_reference(fx.granule, *beam, fx.corrections);
+TEST(Preprocess, OutlierFilterMatchesPerBinReferenceWithNanHeightsAndGaps) {
+  Fixture fx;
+  const auto beams = nan_and_gap_beams(fx.granule.beam(BeamId::Gt2r));
+  for (const auto& beam : beams)
+    expect_matches_per_bin_reference(fx.granule, beam, fx.corrections);
 
   // Every NaN-height photon is kept: it is never farther than the threshold.
+  const auto& all_nan = beams.back();
   const auto all = atl03::preprocess_beam(fx.granule, all_nan, fx.corrections);
   std::size_t high = 0;
   for (auto c : all_nan.signal_conf)
@@ -311,8 +332,10 @@ atl03::BeamData without_photons(const atl03::BeamData& beam,
   return out;
 }
 
-TEST(Preprocess, PhotonsWithNonFiniteTimeOrAlongTrackAreDropped) {
-  // Such a photon cannot be placed on the track. A beam holding some must
+TEST(Preprocess, PhotonsWithNonFiniteTimeOrPositionAreDropped) {
+  // Such a photon cannot be placed on the track: a NaN latitude or
+  // longitude projected to NaN x, y and height, and +inf latitude made the
+  // projection throw for the whole beam. A beam holding some must
   // preprocess exactly like the same beam without them, column for column.
   Fixture fx;
   const auto& raw = fx.granule.beam(BeamId::Gt2r);
@@ -321,29 +344,25 @@ TEST(Preprocess, PhotonsWithNonFiniteTimeOrAlongTrackAreDropped) {
   const double bad_values[] = {nan, inf, -inf};
 
   // Every 97th high-confidence photon, the first one included, cycling
-  // through {time, along-track} × {NaN, +inf, -inf}.
+  // through {time, along-track, lat, lon} × {NaN, +inf, -inf}.
   auto poisoned = raw;
+  std::vector<double>* fields[] = {&poisoned.delta_time, &poisoned.along_track, &poisoned.lat,
+                                   &poisoned.lon};
   std::vector<std::size_t> drop;
   for (std::size_t i = 0, high = 0; i < raw.size(); ++i) {
     if (raw.signal_conf[i] < static_cast<std::int8_t>(SignalConf::High)) continue;
     if (high++ % 97 != 0) continue;
     const std::size_t k = drop.size();
-    (k % 2 == 0 ? poisoned.delta_time : poisoned.along_track)[i] = bad_values[k / 2 % 3];
+    (*fields[k % 4])[i] = bad_values[k / 4 % 3];
     drop.push_back(i);
   }
-  ASSERT_GE(drop.size(), 6u);
+  ASSERT_GE(drop.size(), 12u);
 
   const auto got = atl03::preprocess_beam(fx.granule, poisoned, fx.corrections);
   const auto expected =
       atl03::preprocess_beam(fx.granule, without_photons(raw, drop), fx.corrections);
   ASSERT_GT(expected.size(), 0u);
-  expect_same_bits(got.s, expected.s, "s");
-  expect_same_bits(got.h, expected.h, "h");
-  expect_same_bits(got.t, expected.t, "t");
-  expect_same_bits(got.x, expected.x, "x");
-  expect_same_bits(got.y, expected.y, "y");
-  expect_same_bits(got.bckgrd_rate, expected.bckgrd_rate, "bckgrd_rate");
-  EXPECT_EQ(got.truth_class, expected.truth_class);
+  expect_same_columns(got, expected);
 }
 
 TEST(Preprocess, MalformedBackgroundBinTimesAreRejected) {
@@ -404,6 +423,250 @@ TEST(Preprocess, EmptyBeamYieldsEmptyResult) {
   empty.beam = BeamId::Gt1r;
   const auto pre = atl03::preprocess_beam(fx.granule, empty, fx.corrections);
   EXPECT_EQ(pre.size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The columnar pass against the per-photon reference
+// ---------------------------------------------------------------------------
+
+/// How far heights and freeboard may move when the correction is evaluated
+/// at the 20 m segment rate instead of at every photon. Set from the largest
+/// shifts measured on the fixture's beams: 2.3e-5 m for a photon height,
+/// 1.9e-5 m for a segment height and for a freeboard. A failure here is a
+/// regression to explain, never a bound to widen.
+constexpr double kMaxHeightShiftM = 3e-5;
+constexpr double kMaxFreeboardShiftM = 3e-5;
+
+/// The rate interpolation of the reference below, as preprocess has it.
+double reference_background(const std::vector<double>& bin_t,
+                            const std::vector<double>& bin_rate, double t) {
+  if (bin_t.empty()) return 0.0;
+  if (t <= bin_t.front()) return bin_rate.front();
+  if (t >= bin_t.back()) return bin_rate.back();
+  const auto it = std::lower_bound(bin_t.begin(), bin_t.end(), t);
+  const auto i = static_cast<std::size_t>(it - bin_t.begin());
+  const double t0 = bin_t[i - 1], t1 = bin_t[i];
+  const double w = (t - t0) / (t1 - t0);
+  return bin_rate[i - 1] * (1.0 - w) + bin_rate[i] * w;
+}
+
+/// preprocess_beam as it was before the columnar pass: photon indices sorted
+/// by distance, columns grown photon by photon, the correction evaluated at
+/// every photon, and the outlier filter copying into a second beam. Its
+/// per-run filter matched the per-bin reference above bit for bit, so that
+/// one stands in for it. Callers give it finite positions only.
+atl03::PreprocessedBeam per_photon_reference(const atl03::Granule& granule,
+                                             const atl03::BeamData& beam,
+                                             const geo::GeoCorrections& corrections,
+                                             const PreprocessConfig& config) {
+  const geo::PolarStereo proj = geo::PolarStereo::epsg3976();
+  atl03::PreprocessedBeam out;
+  out.beam = beam.beam;
+  out.track_origin = granule.track_origin;
+  out.track_heading = granule.track_heading;
+  out.epoch_time = granule.epoch_time;
+  std::vector<std::size_t> keep;
+  for (std::size_t i = 0; i < beam.size(); ++i)
+    if (beam.signal_conf[i] >= static_cast<std::int8_t>(config.min_conf) &&
+        std::isfinite(beam.along_track[i]) && std::isfinite(beam.delta_time[i]))
+      keep.push_back(i);
+  std::sort(keep.begin(), keep.end(),
+            [&](std::size_t a, std::size_t b) { return beam.along_track[a] < beam.along_track[b]; });
+  for (std::size_t i : keep) {
+    const geo::Xy p = proj.forward({beam.lon[i], beam.lat[i]});
+    double h = beam.h[i];
+    if (config.apply_geo_correction)
+      h -= corrections.total(granule.epoch_time + beam.delta_time[i], p.x, p.y);
+    out.s.push_back(beam.along_track[i]);
+    out.h.push_back(h);
+    out.t.push_back(beam.delta_time[i]);
+    out.x.push_back(p.x);
+    out.y.push_back(p.y);
+    out.bckgrd_rate.push_back(
+        reference_background(beam.bckgrd_delta_time, beam.bckgrd_rate, beam.delta_time[i]));
+    if (!beam.truth_class.empty()) out.truth_class.push_back(beam.truth_class[i]);
+  }
+  return out.s.empty() ? out : per_bin_outlier_filter(out, config);
+}
+
+/// `raw` with every along-track distance rounded to 0.5 m, so that many
+/// photons tie and the sort's order among them shows.
+atl03::BeamData tied_beam(const atl03::BeamData& raw) {
+  auto tied = raw;
+  for (double& s : tied.along_track) s = std::round(2.0 * s) / 2.0;
+  return tied;
+}
+
+/// `raw` with every photon past 3 km moved 50 km further along the track,
+/// its position and time with it, so the corrections on either side of the
+/// gap differ by about 0.3 m.
+atl03::BeamData gap_beam(const atl03::Granule& granule, const atl03::BeamData& raw) {
+  constexpr double kGapM = 50'000.0;
+  constexpr double kGroundSpeed = 7'000.0;  // m/s
+  const geo::PolarStereo proj = geo::PolarStereo::epsg3976();
+  const double s_min = *std::min_element(raw.along_track.begin(), raw.along_track.end());
+  auto gap = raw;
+  for (std::size_t i = 0; i < gap.size(); ++i) {
+    if (gap.along_track[i] - s_min <= 3000.0) continue;
+    const geo::Xy p = proj.forward({gap.lon[i], gap.lat[i]});
+    const geo::LonLat moved = proj.inverse({p.x + kGapM * std::cos(granule.track_heading),
+                                            p.y + kGapM * std::sin(granule.track_heading)});
+    gap.lon[i] = moved.lon;
+    gap.lat[i] = moved.lat;
+    gap.along_track[i] += kGapM;
+    gap.delta_time[i] += kGapM / kGroundSpeed;
+  }
+  return gap;
+}
+
+/// Ten photons of `raw` placed in three segments: four at one distance
+/// (the end photons share it), one alone, five spread out. The distances
+/// do not match the positions, so only the segment logic is under test.
+atl03::BeamData short_segments_beam(const atl03::BeamData& raw) {
+  const std::vector<double> along = {5.0, 5.0, 5.0, 5.0, 25.0, 41.0, 43.0, 45.0, 47.0, 49.0};
+  std::vector<std::size_t> drop;
+  for (std::size_t i = along.size(); i < raw.size(); ++i) drop.push_back(i);
+  auto beam = without_photons(raw, drop);
+  beam.along_track = along;
+  beam.signal_conf.assign(along.size(), static_cast<std::int8_t>(SignalConf::High));
+  return beam;
+}
+
+TEST(Preprocess, ColumnarPassMatchesPerPhotonReferenceWithoutCorrections) {
+  Fixture fx;
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  std::vector<atl03::BeamData> beams = fx.granule.beams;
+  for (auto& beam : nan_and_gap_beams(raw)) beams.push_back(std::move(beam));
+  beams.push_back(tied_beam(raw));
+  PreprocessConfig config;
+  config.apply_geo_correction = false;
+  for (std::size_t b = 0; b < beams.size(); ++b) {
+    SCOPED_TRACE(b);
+    const auto expected = per_photon_reference(fx.granule, beams[b], fx.corrections, config);
+    ASSERT_GT(expected.size(), 0u);
+    expect_same_columns(atl03::preprocess_beam(fx.granule, beams[b], fx.corrections, config),
+                        expected);
+  }
+}
+
+/// Whether photon `k` of the sorted distances `s` is the first or the last
+/// of its 20 m segment.
+bool is_segment_end(const std::vector<double>& s, std::size_t k) {
+  const auto segment = [](double d) { return std::floor(d / 20.0); };
+  return k == 0 || k + 1 == s.size() || segment(s[k - 1]) != segment(s[k]) ||
+         segment(s[k + 1]) != segment(s[k]);
+}
+
+TEST(Preprocess, SegmentRateCorrectionsMoveHeightsWithinBound) {
+  // Only heights move, by at most the bound, and the photons at either end
+  // of each 20 m segment keep their per-photon correction bit for bit.
+  Fixture fx;
+  const auto& raw = fx.granule.beam(BeamId::Gt2r);
+  std::vector<atl03::BeamData> beams = fx.granule.beams;
+  beams.push_back(tied_beam(raw));
+  beams.push_back(gap_beam(fx.granule, raw));
+  const PreprocessConfig config = unfiltered();
+  double max_shift = 0.0;
+  for (std::size_t b = 0; b < beams.size(); ++b) {
+    SCOPED_TRACE(b);
+    const auto expected = per_photon_reference(fx.granule, beams[b], fx.corrections, config);
+    const auto got = atl03::preprocess_beam(fx.granule, beams[b], fx.corrections, config);
+    ASSERT_GT(expected.size(), 0u);
+    expect_same_columns(got, expected, /*with_h=*/false);
+    ASSERT_EQ(got.h.size(), expected.h.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      max_shift = std::max(max_shift, std::abs(got.h[k] - expected.h[k]));
+      if (is_segment_end(got.s, k)) EXPECT_EQ(got.h[k], expected.h[k]) << k;
+    }
+  }
+  EXPECT_GT(max_shift, 0.0);  // interior photons are interpolated
+  EXPECT_LE(max_shift, kMaxHeightShiftM);
+}
+
+TEST(Preprocess, SegmentRateCorrectionsHandleOnePhotonAndTiedSegments) {
+  // A one-photon segment is exact, and a segment whose photons all share
+  // one distance divides by no zero: its interior photons take the first
+  // photon's correction.
+  Fixture fx;
+  const auto beam = short_segments_beam(fx.granule.beam(BeamId::Gt2r));
+  const PreprocessConfig config = unfiltered();
+  PreprocessConfig uncorrected = config;
+  uncorrected.apply_geo_correction = false;
+  const auto expected = per_photon_reference(fx.granule, beam, fx.corrections, config);
+  const auto got = atl03::preprocess_beam(fx.granule, beam, fx.corrections, config);
+  const auto raw = atl03::preprocess_beam(fx.granule, beam, fx.corrections, uncorrected);
+  ASSERT_EQ(got.size(), 10u);
+  expect_same_columns(got, expected, /*with_h=*/false);
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_TRUE(std::isfinite(got.h[k]));
+    if (is_segment_end(got.s, k)) EXPECT_EQ(got.h[k], expected.h[k]);
+  }
+  const double c_first = fx.corrections.total(got.epoch_time + got.t[0], got.x[0], got.y[0]);
+  for (std::size_t k = 1; k < 3; ++k) EXPECT_EQ(got.h[k], raw.h[k] - c_first) << k;
+}
+
+TEST(Preprocess, SegmentRateCorrectionsMoveSegmentsAndFreeboardWithinBounds) {
+  // Downstream of the default pipeline: resample -> FPB gives the same
+  // segments but for their heights, and sea surface -> freeboard resumed
+  // from the segments' truth classes gives the same points but for their
+  // freeboard.
+  Fixture fx;
+  const auto config = core::PipelineConfig::tiny();
+  const pipeline::ProductBuilder builder(config, fx.corrections);
+  const auto segments_of = [&](const atl03::PreprocessedBeam& pre) {
+    auto art = pipeline::Artifacts::from_preprocessed(pre);
+    builder.run_until(art, pipeline::StageId::fpb);
+    return art.take_segments();
+  };
+  const auto freeboard_of = [&](std::vector<resample::Segment> segments) {
+    std::vector<atl03::SurfaceClass> classes;
+    for (const auto& seg : segments) classes.push_back(seg.truth);
+    auto art = pipeline::Artifacts::resume(std::move(segments), std::move(classes));
+    builder.build(art, pipeline::ProductKind::freeboard, nullptr,
+                  seasurface::Method::NasaEquation);
+    return art.freeboard_out().points;
+  };
+  double max_height_shift = 0.0;
+  double max_freeboard_shift = 0.0;
+  std::size_t points = 0;
+  for (const auto& beam : fx.granule.beams) {
+    SCOPED_TRACE(atl03::beam_name(beam.beam));
+    const auto expected_segments = segments_of(
+        per_photon_reference(fx.granule, beam, fx.corrections, config.preprocess));
+    const auto got_segments =
+        segments_of(atl03::preprocess_beam(fx.granule, beam, fx.corrections, config.preprocess));
+    ASSERT_EQ(got_segments.size(), expected_segments.size());
+    for (std::size_t i = 0; i < got_segments.size(); ++i) {
+      const auto& g = got_segments[i];
+      const auto& e = expected_segments[i];
+      EXPECT_EQ(g.s, e.s);
+      EXPECT_EQ(g.t, e.t);
+      EXPECT_EQ(g.x, e.x);
+      EXPECT_EQ(g.y, e.y);
+      EXPECT_EQ(g.n_photons, e.n_photons);
+      EXPECT_EQ(g.photon_rate, e.photon_rate);
+      EXPECT_EQ(g.bckgrd_rate, e.bckgrd_rate);
+      EXPECT_EQ(g.truth, e.truth);
+      for (const double d : {g.h_mean - e.h_mean, g.h_median - e.h_median, g.h_std - e.h_std,
+                             g.h_min - e.h_min})
+        max_height_shift = std::max(max_height_shift, std::abs(d));
+    }
+
+    const auto expected_points = freeboard_of(expected_segments);
+    const auto got_points = freeboard_of(got_segments);
+    ASSERT_EQ(got_points.size(), expected_points.size());
+    for (std::size_t i = 0; i < got_points.size(); ++i) {
+      EXPECT_EQ(got_points[i].s, expected_points[i].s);
+      EXPECT_EQ(got_points[i].cls, expected_points[i].cls);
+      max_freeboard_shift = std::max(
+          max_freeboard_shift, std::abs(got_points[i].freeboard - expected_points[i].freeboard));
+    }
+    points += got_points.size();
+  }
+  ASSERT_GT(points, 0u);
+  EXPECT_LE(max_height_shift, kMaxHeightShiftM);
+  EXPECT_LE(max_freeboard_shift, kMaxFreeboardShiftM);
 }
 
 }  // namespace
