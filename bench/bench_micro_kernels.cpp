@@ -1,7 +1,8 @@
 // Micro-benchmarks for the kernels the pipeline spends its time in — GEMM,
-// LSTM forward/backward, focal loss, ring all-reduce, projection, 2 m
-// resampling, h5lite (de)serialization, CRC-32 — plus the
-// distributed-training substrate's headline numbers.
+// LSTM forward/backward, focal loss, ring all-reduce, projection (exact and
+// the local expansion), preprocess per photon, 2 m resampling, h5lite
+// (de)serialization, CRC-32 — plus the distributed-training substrate's
+// headline numbers.
 //
 //   ./bench/bench_micro_kernels [BENCH_dist.json]
 //
@@ -33,6 +34,7 @@
 #include "dist/comm.hpp"
 #include "dist/trainer.hpp"
 #include "geo/polar_stereo.hpp"
+#include "geo/wgs84.hpp"
 #include "h5lite/granule_io.hpp"
 #include "h5lite/h5file.hpp"
 #include "nn/loss.hpp"
@@ -125,7 +127,21 @@ void bench_projection() {
         for (const auto& p : xys) g_sink = static_cast<float>(proj.inverse(p).lat);
       },
       500);
-  std::printf("polar stereo (1024 pts): forward %.4f ms  inverse %.4f ms\n", fwd_ms, inv_ms);
+  // The expansion preprocess uses between a geolocation segment's end
+  // photons, over points inside its radius around one reference.
+  const geo::LonLat ref{-165.0, -75.5};
+  const auto local = proj.local(ref);
+  std::vector<geo::LonLat> near(1024);
+  for (auto& p : near)
+    p = {ref.lon + geo::rad2deg(rng.uniform(-0.999, 0.999) * geo::PolarStereo::Local::kMaxDlonRad),
+         ref.lat + geo::rad2deg(rng.uniform(-0.999, 0.999) * geo::PolarStereo::Local::kMaxDlatRad)};
+  const double local_ms = time_ms(
+      [&] {
+        for (const auto& p : near) g_sink = static_cast<float>(local.forward(p).x);
+      },
+      500);
+  std::printf("polar stereo (1024 pts): forward %.4f ms  inverse %.4f ms  local %.4f ms\n",
+              fwd_ms, inv_ms, local_ms);
 }
 
 struct SimFixture {
@@ -144,6 +160,12 @@ struct SimFixture {
 };
 
 void bench_resample_and_h5(const SimFixture& fx) {
+  const auto& raw = fx.granule.beams[0];
+  const double pre_ms = time_ms(
+      [&] { g_sink = atl03::preprocess_beam(fx.granule, raw, fx.corrections).size(); }, 50);
+  std::printf("preprocess (%zu photons in, %zu out): %.3f ms  (%.1f ns/photon)\n", raw.size(),
+              fx.pre.size(), pre_ms, pre_ms * 1e6 / static_cast<double>(raw.size()));
+
   const double res_ms = time_ms([&] { g_sink = resample::resample(fx.pre).empty(); }, 50);
   std::printf("resample 2m (%zu photons): %.3f ms\n", fx.pre.size(), res_ms);
 

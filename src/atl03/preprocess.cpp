@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -99,15 +100,23 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
     out.h[last] -= c_last;
   };
 
-  // Projection, background rate and the other columns in one pass; a
-  // segment is corrected as soon as its last photon is in.
+  // Projection, background rate and the other columns in one pass, one
+  // geolocation segment at a time. The segment's first and last photon are
+  // projected by forward(), the photons between them by the expansion about
+  // the first (within 3e-9 m of forward()). The corrections, evaluated at
+  // the end photons, so see forward()'s positions, and no height depends on
+  // the expansion. A segment is corrected as soon as its last photon is in.
   const auto segment_of = [&](std::size_t k) {
     return std::floor(order[k].first / kGeolocationSegmentM);
   };
+  std::optional<geo::PolarStereo::Local> local;  // about the segment's first photon
   std::size_t segment_first = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t i = order[k].second;
-    const geo::Xy p = proj.forward({beam.lon[i], beam.lat[i]});
+    const geo::LonLat ll{beam.lon[i], beam.lat[i]};
+    const bool last = k + 1 == count || segment_of(k + 1) != segment_of(k);
+    if (k == segment_first && !last) local = proj.local(ll);
+    const geo::Xy p = k == segment_first || last ? proj.forward(ll) : local->forward(ll);
     out.s[k] = order[k].first;
     out.h[k] = beam.h[i];
     out.t[k] = beam.delta_time[i];
@@ -116,9 +125,8 @@ PreprocessedBeam preprocess_beam(const Granule& granule, const BeamData& beam,
     out.bckgrd_rate[k] =
         interp_background(beam.bckgrd_delta_time, beam.bckgrd_rate, beam.delta_time[i]);
     if (has_truth) out.truth_class[k] = beam.truth_class[i];
-    if (!config.apply_geo_correction) continue;
-    if (k + 1 < count && segment_of(k + 1) == segment_of(k)) continue;
-    correct_segment(segment_first, k);
+    if (!last) continue;
+    if (config.apply_geo_correction) correct_segment(segment_first, k);
     segment_first = k + 1;
   }
 

@@ -29,8 +29,7 @@ void PipelineConfig::validate() const {
          ") disagrees with track_length_m (" + std::to_string(track_length_m) +
          "); leave it at the default to inherit track_length_m");
   preprocess.validate();
-  length(segmenter.window_m, "segmenter.window_m");
-  length(segmenter.shot_spacing_m, "segmenter.shot_spacing_m");
+  segmenter.validate();
   length(seasurface.window_m, "seasurface.window_m");
   length(seasurface.stride_m, "seasurface.stride_m");
   length(instrument.dead_time_m, "instrument.dead_time_m", /*zero_ok=*/true);

@@ -51,6 +51,68 @@ Xy PolarStereo::forward(const LonLat& ll) const {
   return {x, y};
 }
 
+PolarStereo::Local PolarStereo::local(const LonLat& ref) const {
+  const bool south = hemisphere_ == Hemisphere::South;
+  Local l(*this);
+  l.phi_ = deg2rad(south ? -ref.lat : ref.lat);
+  l.dlam_ = deg2rad(south ? -ref.lon : ref.lon) - (south ? -lon0_rad_ : lon0_rad_);
+  if (l.phi_ < 0.0)
+    throw std::invalid_argument("PolarStereo::local: reference in the opposite hemisphere");
+  // At the pole ρ = 0 and g is infinite; within the radius of it the
+  // expansion would reach across.
+  l.expand_ = pi / 2.0 - l.phi_ > Local::kMaxDlatRad;
+  if (!l.expand_) return l;
+
+  l.sin_ = std::sin(l.dlam_);
+  l.cos_ = std::cos(l.dlam_);
+  l.rho_ = Wgs84::a * m_c_ * t_of_lat(l.phi_) / t_c_;  // as forward() has it
+  const double e2 = Wgs84::e2;
+  const double s = std::sin(l.phi_);
+  const double d = 1.0 - e2 * s * s;
+  const double g = (1.0 - e2) / (d * std::cos(l.phi_));
+  l.drho_ = -l.rho_ * g;
+  // g² − g′ with g′ = g tan φ (2e²cos²φ + d) / d, in the form that cancels
+  // nothing: (1−e²)(1 − e²(1 + 3s + 3s²)) / (d²(1 + s)).
+  l.half_d2rho_ =
+      0.5 * l.rho_ * (1.0 - e2) * (1.0 - e2 * (1.0 + 3.0 * s + 3.0 * s * s)) / (d * d * (1.0 + s));
+  return l;
+}
+
+Xy PolarStereo::Local::forward(const LonLat& ll) const {
+  const bool south = proj_.hemisphere_ == Hemisphere::South;
+  // φ and λ − λ0 as forward() has them; near the reference their offsets
+  // from its values are exact.
+  const double phi = deg2rad(south ? -ll.lat : ll.lat);
+  const double dlam =
+      deg2rad(south ? -ll.lon : ll.lon) - (south ? -proj_.lon0_rad_ : proj_.lon0_rad_);
+  if (phi < 0.0)
+    throw std::invalid_argument("PolarStereo::Local::forward: point in the opposite hemisphere");
+  const double dphi = phi - phi_;
+  double delta = dlam - dlam_;
+  if (delta > pi)
+    delta -= 2.0 * pi;
+  else if (delta <= -pi)
+    delta += 2.0 * pi;
+  // Written so that NaN offsets fail the test too.
+  if (!expand_ || !(std::abs(dphi) <= kMaxDlatRad) || !(std::abs(delta) <= kMaxDlonRad))
+    return proj_.forward(ll);
+
+  const double rho = rho_ + (drho_ + half_d2rho_ * dphi) * dphi;
+  const double delta2 = delta * delta;
+  const double cos_m1 = delta2 * (-0.5 + delta2 / 24.0);  // cos δ − 1
+  const double sin_d = delta * (1.0 - delta2 / 6.0);
+  // sin and cos of the point's λ − λ0, as the reference's plus a small term.
+  const double sin_lam = sin_ + (sin_ * cos_m1 + cos_ * sin_d);
+  const double cos_lam = cos_ + (cos_ * cos_m1 - sin_ * sin_d);
+  double x = rho * sin_lam;
+  double y = -rho * cos_lam;
+  if (south) {
+    x = -x;
+    y = -y;
+  }
+  return {x, y};
+}
+
 LonLat PolarStereo::inverse(const Xy& xy) const {
   const bool south = hemisphere_ == Hemisphere::South;
   const double x = south ? -xy.x : xy.x;

@@ -110,8 +110,9 @@ std::uint64_t prefix_fingerprint(const core::PipelineConfig& config, seasurface:
   // importantly: a classification product is method-agnostic).
   // Domain tag. It changes when the same inputs start to build different
   // bytes, so products an older build stored on disk are misses; last when
-  // preprocess moved the height correction to the 20 m segment rate.
-  std::uint64_t h = 0x15ECE5E1CE20u;
+  // preprocess began to project the photons between a 20 m segment's ends
+  // by the local expansion (their x and y moved by rounding).
+  std::uint64_t h = 0x15ECE5E1CE2Cu;
   // preprocess .. classify (every kind).
   h = fp_mix(h, config.seed);
   h = fp_mix(h, static_cast<std::uint64_t>(config.sequence_window));

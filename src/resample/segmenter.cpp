@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/check.hpp"
 #include "util/rolling_percentile.hpp"
 #include "util/stats.hpp"
 
@@ -11,8 +12,13 @@ namespace is2::resample {
 
 using atl03::SurfaceClass;
 
+void SegmenterConfig::validate() const {
+  util::check_length(window_m, "SegmenterConfig: window_m");
+  util::check_length(shot_spacing_m, "SegmenterConfig: shot_spacing_m");
+}
+
 std::vector<Segment> resample(const atl03::PreprocessedBeam& beam, const SegmenterConfig& cfg) {
-  if (cfg.window_m <= 0.0) throw std::invalid_argument("resample: window must be positive");
+  cfg.validate();
   std::vector<Segment> out;
   if (beam.s.empty()) return out;
 

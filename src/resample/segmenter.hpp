@@ -20,6 +20,10 @@ struct SegmenterConfig {
   double window_m = 2.0;        ///< resampling window (paper: 2 m)
   double shot_spacing_m = 0.7;  ///< to convert counts into per-shot rates
   std::size_t min_photons = 1;  ///< windows with fewer photons are dropped
+
+  /// Throws std::invalid_argument unless window_m and shot_spacing_m are
+  /// finite and positive.
+  void validate() const;
 };
 
 /// One resampled along-track segment.
@@ -51,6 +55,7 @@ struct FeatureRow {
 };
 
 /// Resample a preprocessed beam into 2m segments (windows in [0, s_max]).
+/// Throws std::invalid_argument when `config` fails SegmenterConfig::validate.
 std::vector<Segment> resample(const atl03::PreprocessedBeam& beam,
                               const SegmenterConfig& config = {});
 

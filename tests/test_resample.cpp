@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <latch>
+#include <limits>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "atl03/photon_sim.hpp"
 #include "atl03/preprocess.hpp"
@@ -74,6 +77,31 @@ TEST(Resample, MinPhotonThreshold) {
 TEST(Resample, EmptyBeam) {
   PreprocessedBeam empty;
   EXPECT_TRUE(resample::resample(empty).empty());
+}
+
+TEST(Resample, WindowAndShotSpacingMustBeFiniteAndPositive) {
+  // A NaN or infinite window passed a bare `window_m <= 0` check; the
+  // window number then came from a NaN cast to size_t and no photon ever
+  // fell in the window, so resample never returned.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<SegmenterConfig> cases;
+  for (const double window : {nan, inf, -inf, 0.0, -1.0}) {
+    SegmenterConfig c;
+    c.window_m = window;
+    cases.push_back(c);
+  }
+  for (const double spacing : {nan, 0.0}) {
+    SegmenterConfig c;
+    c.shot_spacing_m = spacing;
+    cases.push_back(c);
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE(c);
+    EXPECT_THROW(cases[c].validate(), std::invalid_argument);
+    EXPECT_THROW(resample::resample(synthetic_beam(), cases[c]), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(SegmenterConfig{}.validate());
 }
 
 TEST(Resample, TruthMajorityVote) {
