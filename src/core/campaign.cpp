@@ -131,13 +131,6 @@ PairDataset Campaign::generate(std::size_t k) const {
                      seg.thick_cloud_pixels};
 }
 
-std::vector<PairDataset> Campaign::generate_all() const {
-  std::vector<PairDataset> out;
-  out.reserve(pairs_.size());
-  for (std::size_t k = 0; k < pairs_.size(); ++k) out.push_back(generate(k));
-  return out;
-}
-
 void write_shards(const atl03::Granule& granule, std::size_t pair_index,
                   std::size_t chunks_per_beam, const std::string& dir, ShardSet& shards) {
   const double chunk_len = granule.track_length / static_cast<double>(chunks_per_beam);

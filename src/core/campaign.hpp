@@ -68,9 +68,6 @@ class Campaign {
   /// multispectral image is dropped after segmentation to bound memory.
   PairDataset generate(std::size_t k) const;
 
-  /// Generate all pairs (sequentially).
-  std::vector<PairDataset> generate_all() const;
-
  private:
   PipelineConfig config_;
   geo::GeoCorrections corrections_;

@@ -103,11 +103,4 @@ void Communicator::broadcast(int rank, float* data, std::size_t n, int root) {
   });
 }
 
-void Communicator::barrier(int rank) {
-  // A one-float ring all-reduce: completion requires a message chain through
-  // every rank, so no rank exits before all have entered.
-  float token = 0.0f;
-  allreduce_sum(rank, &token, 1);
-}
-
 }  // namespace is2::dist

@@ -67,9 +67,6 @@ class Communicator {
     broadcast(rank, buf.data(), buf.size(), root);
   }
 
-  /// Block until every rank has entered (a zero-payload ring round trip).
-  void barrier(int rank);
-
   /// Bytes each rank moves through an N-rank ring all-reduce of `n_floats`:
   /// 2(N−1)/N · n · sizeof(float); 0 for a single rank.
   static std::size_t allreduce_bytes_per_rank(int ranks, std::size_t n_floats);

@@ -41,7 +41,7 @@ void broadcast_parameters(const std::vector<nn::Param>& params, Context& ctx, in
   }
 }
 
-DistributedOptimizer::DistributedOptimizer(std::unique_ptr<nn::Optimizer> inner,
+DistributedOptimizer::DistributedOptimizer(std::unique_ptr<nn::Adam> inner,
                                            std::shared_ptr<Context> ctx, int rank,
                                            std::size_t bucket_floats)
     : inner_(std::move(inner)),

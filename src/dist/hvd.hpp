@@ -6,8 +6,8 @@
 //   3. hvd.DistributedOptimizer(opt)  -> dist::DistributedOptimizer
 //   4. hvd.BroadcastGlobalVariables(0)-> dist::broadcast_parameters(root 0)
 //
-// `DistributedOptimizer` wraps any `nn::Optimizer`: before the wrapped step
-// it replaces every parameter's gradient with the cross-rank weighted sum
+// `DistributedOptimizer` wraps an `nn::Adam`: before the wrapped step it
+// replaces every parameter's gradient with the cross-rank weighted sum
 // (weight 1/N by default — the gradient average). Gradients are packed into
 // fixed-boundary buckets and reduced on a per-rank comm worker thread, so
 // when driven through `Sequential::backward`'s gradient-ready hook the
@@ -76,10 +76,10 @@ std::shared_ptr<Context> init(int ranks, double recv_timeout_ms = 0.0);
 void broadcast_parameters(const std::vector<nn::Param>& params, Context& ctx, int rank,
                           int root = 0);
 
-/// Step 3: gradient-averaging wrapper around any nn::Optimizer.
+/// Step 3: gradient-averaging wrapper around an nn::Adam.
 ///
 /// Two driving modes, identical arithmetic:
-///  * Plain: call step(params) like any optimizer — gradients are bucketed
+///  * Plain: call step(params) as on nn::Adam — gradients are bucketed
 ///    in parameter-list order, reduced synchronously with weight 1/N, then
 ///    the wrapped optimizer steps.
 ///  * Overlapped (the trainer): begin_step(weight) before backward, feed
@@ -92,16 +92,16 @@ void broadcast_parameters(const std::vector<nn::Param>& params, Context& ctx, in
 ///
 /// Every rank in the group must drive its optimizer the same way — bucket
 /// boundaries and reduction order form the collective sequence.
-class DistributedOptimizer : public nn::Optimizer {
+class DistributedOptimizer {
  public:
   /// Default bucket size: ~4 buckets across the paper's LSTM model — small
   /// enough that the head's gradients reduce while BPTT is still running,
   /// large enough that per-bucket ring latency amortizes.
   static constexpr std::size_t kDefaultBucketFloats = 12 * 1024;
 
-  DistributedOptimizer(std::unique_ptr<nn::Optimizer> inner, std::shared_ptr<Context> ctx,
-                       int rank, std::size_t bucket_floats = kDefaultBucketFloats);
-  ~DistributedOptimizer() override;
+  DistributedOptimizer(std::unique_ptr<nn::Adam> inner, std::shared_ptr<Context> ctx, int rank,
+                       std::size_t bucket_floats = kDefaultBucketFloats);
+  ~DistributedOptimizer();
 
   DistributedOptimizer(const DistributedOptimizer&) = delete;
   DistributedOptimizer& operator=(const DistributedOptimizer&) = delete;
@@ -113,8 +113,8 @@ class DistributedOptimizer : public nn::Optimizer {
   void grads_ready(const std::vector<nn::Param>& layer_params);
   /// Reduce whatever is still unstaged/unflushed, wait for the comm worker
   /// to drain, then apply the wrapped optimizer.
-  void step(const std::vector<nn::Param>& params) override;
-  void zero_grad(const std::vector<nn::Param>& params) override;
+  void step(const std::vector<nn::Param>& params);
+  void zero_grad(const std::vector<nn::Param>& params);
 
   /// Total floats this rank has all-reduced (gradient traffic accounting).
   std::size_t floats_reduced() const;
@@ -139,7 +139,7 @@ class DistributedOptimizer : public nn::Optimizer {
   void reduce_bucket(const Bucket& bucket);
   void worker_loop();
 
-  std::unique_ptr<nn::Optimizer> inner_;
+  std::unique_ptr<nn::Adam> inner_;
   std::shared_ptr<Context> ctx_;
   int rank_;
   std::size_t bucket_floats_;

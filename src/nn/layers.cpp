@@ -78,38 +78,6 @@ std::vector<Param> Dense::params() {
   return {{"w", &w_, &dw_}, {"b", &b_, &db_}};
 }
 
-Dropout::Dropout(double rate, util::Rng rng) : rate_(rate), rng_(rng) {
-  if (rate < 0.0 || rate >= 1.0) throw std::invalid_argument("Dropout: rate must be in [0,1)");
-}
-
-const Mat& Dropout::forward(const Mat& x, bool training) {
-  y_.resize(x.rows(), x.cols());
-  if (!training || rate_ == 0.0) {
-    std::copy(x.data(), x.data() + x.size(), y_.data());
-    mask_.resize(0, 0);
-    return y_;
-  }
-  mask_.resize(x.rows(), x.cols());
-  const auto scale = static_cast<float>(1.0 / (1.0 - rate_));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float m = rng_.bernoulli(rate_) ? 0.0f : scale;
-    mask_.data()[i] = m;
-    y_.data()[i] = x.data()[i] * m;
-  }
-  return y_;
-}
-
-const Mat& Dropout::backward(const Mat& grad_out) {
-  dx_.resize(grad_out.rows(), grad_out.cols());
-  if (mask_.empty()) {
-    std::copy(grad_out.data(), grad_out.data() + grad_out.size(), dx_.data());
-    return dx_;
-  }
-  for (std::size_t i = 0; i < grad_out.size(); ++i)
-    dx_.data()[i] = grad_out.data()[i] * mask_.data()[i];
-  return dx_;
-}
-
 const Mat& Flatten::forward(const Tensor3& x, bool training) {
   (void)training;
   y_.resize(x.n, x.sample_size());

@@ -1,10 +1,10 @@
-// Layer abstractions for the classifier stack.
+// Layers of the classifier stack.
 //
 // A model is a front end (Flatten for the MLP, LSTM for the recurrent model)
 // that maps a [batch, time, features] sequence tensor to a [batch, width]
-// matrix, followed by a stack of 2-D layers (Dense / Activation / Dropout).
-// Layers own their parameters and gradient buffers; optimizers consume the
-// Param views. All randomness flows through an explicit Rng so replicated
+// matrix, followed by a stack of Dense layers with fused activations.
+// Layers own their parameters and gradient buffers; the optimizer consumes
+// the Param views. All randomness flows through an explicit Rng so replicated
 // models in the distributed trainer stay bit-identical across ranks.
 //
 // Forward contract: forward(x, training=true) caches everything backward()
@@ -34,20 +34,8 @@ struct Param {
 // tensor.hpp (included above) so the fused GEMM epilogues can use them; the
 // names are unchanged under is2::nn.
 
-/// 2-D layer interface: [batch, in] -> [batch, out].
-class Layer {
- public:
-  virtual ~Layer() = default;
-  virtual const Mat& forward(const Mat& x, bool training) = 0;
-  /// Returns grad wrt input; accumulates parameter grads. Requires the
-  /// preceding forward to have run with training=true.
-  virtual const Mat& backward(const Mat& grad_out) = 0;
-  virtual std::vector<Param> params() { return {}; }
-  virtual std::string name() const = 0;
-  virtual std::size_t output_dim(std::size_t input_dim) const = 0;
-};
-
-/// Fully connected y = x W^T + b with fused activation.
+/// Fully connected y = x W^T + b with fused activation: [batch, in] ->
+/// [batch, out].
 ///
 /// The inference forward runs on a cached pre-transposed weight panel
 /// (`wt_`), rebuilt only when the weights actually changed. Staleness is
@@ -59,15 +47,15 @@ class Layer {
 /// is a linear streaming pass — far cheaper than the strided transpose it
 /// avoids — and predictions are bit-identical to the transpose-per-call
 /// path (same packed kernel, same panel values).
-class Dense : public Layer {
+class Dense {
  public:
   Dense(std::size_t in_dim, std::size_t out_dim, Activation act, util::Rng& rng);
 
-  const Mat& forward(const Mat& x, bool training) override;
-  const Mat& backward(const Mat& grad_out) override;
-  std::vector<Param> params() override;
-  std::string name() const override { return "dense"; }
-  std::size_t output_dim(std::size_t) const override { return w_.rows(); }
+  const Mat& forward(const Mat& x, bool training);
+  /// Returns grad wrt input; accumulates parameter grads. Requires the
+  /// preceding forward to have run with training=true.
+  const Mat& backward(const Mat& grad_out);
+  std::vector<Param> params();
 
   Mat& weights() {
     wt_dirty_ = true;  // mutable handle escapes: assume mutation
@@ -94,24 +82,6 @@ class Dense : public Layer {
   bool wt_dirty_ = true;
 };
 
-/// Inverted dropout; identity at inference.
-class Dropout : public Layer {
- public:
-  Dropout(double rate, util::Rng rng);
-
-  const Mat& forward(const Mat& x, bool training) override;
-  const Mat& backward(const Mat& grad_out) override;
-  std::string name() const override { return "dropout"; }
-  std::size_t output_dim(std::size_t input_dim) const override { return input_dim; }
-
- private:
-  double rate_;
-  util::Rng rng_;
-  Mat mask_;
-  Mat y_;
-  Mat dx_;
-};
-
 /// Sequence front end: [batch, time, feat] -> [batch, width].
 class FrontEnd {
  public:
@@ -119,8 +89,6 @@ class FrontEnd {
   virtual const Mat& forward(const Tensor3& x, bool training) = 0;
   virtual void backward(const Mat& grad_out) = 0;
   virtual std::vector<Param> params() { return {}; }
-  virtual std::string name() const = 0;
-  virtual std::size_t output_dim(std::size_t time, std::size_t feat) const = 0;
 };
 
 /// Flatten front end (the MLP path): concatenates the time steps.
@@ -128,10 +96,6 @@ class Flatten : public FrontEnd {
  public:
   const Mat& forward(const Tensor3& x, bool training) override;
   void backward(const Mat& /*grad_out*/) override {}  // no trainable inputs upstream
-  std::string name() const override { return "flatten"; }
-  std::size_t output_dim(std::size_t time, std::size_t feat) const override {
-    return time * feat;
-  }
 
  private:
   Mat y_;

@@ -55,26 +55,6 @@ void softmax_rows_reference(const Mat& logits, Mat& probs) {
   }
 }
 
-double CrossEntropyLoss::compute(const Mat& logits, const std::vector<std::uint8_t>& labels,
-                                 Mat& grad) const {
-  if (labels.size() != logits.rows())
-    throw std::invalid_argument("CrossEntropyLoss: label count mismatch");
-  Mat probs;
-  softmax_rows(logits, probs);
-  grad.resize(logits.rows(), logits.cols());
-  double loss = 0.0;
-  const auto inv_n = 1.0f / static_cast<float>(logits.rows());
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    const std::uint8_t y = labels[r];
-    const float* p = probs.row(r);
-    float* g = grad.row(r);
-    loss -= std::log(std::max(p[y], 1e-12f));
-    for (std::size_t c = 0; c < logits.cols(); ++c)
-      g[c] = (p[c] - (c == y ? 1.0f : 0.0f)) * inv_n;
-  }
-  return loss / static_cast<double>(logits.rows());
-}
-
 FocalLoss::FocalLoss(double gamma, std::array<double, atl03::kNumClasses> alpha)
     : gamma_(gamma), alpha_(alpha) {}
 
@@ -116,8 +96,13 @@ double FocalLoss::compute(const Mat& logits, const std::vector<std::uint8_t>& la
     loss += -a * pow_g * std::log(pt);
 
     // dL/dp_t, then chain through softmax: dp_t/dz_c = p_t(delta - p_c).
-    const double dL_dpt =
-        -a * (pow_g / pt - gamma_ * std::pow(one_m, gamma_ - 1.0) * std::log(pt));
+    // The focal term is 0 at gamma = 0 and tends to 0 as p_t -> 1. Both are
+    // taken as 0 outright: at p_t = 1 with gamma < 1, pow(0, gamma - 1) is
+    // infinite and the product would be 0 * inf = NaN.
+    const double focal = gamma_ == 0.0 || one_m == 0.0
+                             ? 0.0
+                             : gamma_ * std::pow(one_m, gamma_ - 1.0) * std::log(pt);
+    const double dL_dpt = -a * (pow_g / pt - focal);
     for (std::size_t c = 0; c < logits.cols(); ++c) {
       const double dpt_dzc = pt * ((c == y ? 1.0 : 0.0) - p[c]);
       g[c] = static_cast<float>(dL_dpt * dpt_dzc * inv_n);

@@ -14,29 +14,15 @@
 
 namespace is2::nn {
 
-class Loss {
- public:
-  virtual ~Loss() = default;
-  /// Mean loss over the batch; fills grad (dL/dlogits, same shape).
-  virtual double compute(const Mat& logits, const std::vector<std::uint8_t>& labels,
-                         Mat& grad) const = 0;
-};
-
-/// Softmax cross-entropy.
-class CrossEntropyLoss : public Loss {
- public:
-  double compute(const Mat& logits, const std::vector<std::uint8_t>& labels,
-                 Mat& grad) const override;
-};
-
-/// Softmax focal loss with per-class alpha.
-class FocalLoss : public Loss {
+/// Softmax focal loss with per-class alpha. With gamma = 0 and unit alpha
+/// it is softmax cross-entropy.
+class FocalLoss {
  public:
   explicit FocalLoss(double gamma = 2.0,
                      std::array<double, atl03::kNumClasses> alpha = {1.0, 1.0, 1.0});
 
-  double compute(const Mat& logits, const std::vector<std::uint8_t>& labels,
-                 Mat& grad) const override;
+  /// Mean loss over the batch; fills grad (dL/dlogits, same shape).
+  double compute(const Mat& logits, const std::vector<std::uint8_t>& labels, Mat& grad) const;
 
   /// Alpha from inverse class frequency, normalized to mean 1.
   static std::array<double, atl03::kNumClasses> balanced_alpha(

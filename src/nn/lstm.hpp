@@ -19,10 +19,6 @@ class Lstm : public FrontEnd {
   const Mat& forward(const Tensor3& x, bool training) override;
   void backward(const Mat& grad_out) override;
   std::vector<Param> params() override;
-  std::string name() const override { return "lstm"; }
-  std::size_t output_dim(std::size_t, std::size_t) const override { return units_; }
-
-  std::size_t units() const { return units_; }
 
  private:
   std::size_t input_dim_;

@@ -11,11 +11,6 @@ void ConfusionMatrix::add(std::uint8_t truth, std::uint8_t predicted) {
   ++m_[truth][predicted];
 }
 
-void ConfusionMatrix::merge(const ConfusionMatrix& other) {
-  for (int t = 0; t < atl03::kNumClasses; ++t)
-    for (int p = 0; p < atl03::kNumClasses; ++p) m_[t][p] += other.m_[t][p];
-}
-
 std::uint64_t ConfusionMatrix::total() const {
   std::uint64_t n = 0;
   for (int t = 0; t < atl03::kNumClasses; ++t) n += row_total(t);

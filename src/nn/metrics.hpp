@@ -14,7 +14,6 @@ namespace is2::nn {
 class ConfusionMatrix {
  public:
   void add(std::uint8_t truth, std::uint8_t predicted);
-  void merge(const ConfusionMatrix& other);
 
   std::uint64_t count(int truth, int predicted) const { return m_[truth][predicted]; }
   std::uint64_t total() const;

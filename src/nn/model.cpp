@@ -42,7 +42,7 @@ Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
 const Mat& Sequential::forward(const Tensor3& x, bool training) {
   if (!front_) throw std::logic_error("Sequential: no front end set");
   const Mat* h = &front_->forward(x, training);
-  for (auto& layer : layers_) h = &layer->forward(*h, training);
+  for (auto& layer : layers_) h = &layer.forward(*h, training);
   return *h;
 }
 
@@ -53,11 +53,8 @@ void Sequential::backward(const Mat& grad_logits) {
 void Sequential::backward(const Mat& grad_logits, const ParamGroupFn& on_params_ready) {
   const Mat* g = &grad_logits;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = &(*it)->backward(*g);
-    if (on_params_ready) {
-      const auto p = (*it)->params();
-      if (!p.empty()) on_params_ready(p);
-    }
+    g = &it->backward(*g);
+    if (on_params_ready) on_params_ready(it->params());
   }
   front_->backward(*g);
   if (on_params_ready) {
@@ -67,10 +64,7 @@ void Sequential::backward(const Mat& grad_logits, const ParamGroupFn& on_params_
 }
 
 void Sequential::visit_params_backward(const ParamGroupFn& fn) {
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    const auto p = (*it)->params();
-    if (!p.empty()) fn(p);
-  }
+  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) fn(it->params());
   const auto p = front_->params();
   if (!p.empty()) fn(p);
 }
@@ -80,7 +74,7 @@ std::vector<Param> Sequential::params() {
   auto fp = front_->params();
   out.insert(out.end(), fp.begin(), fp.end());
   for (auto& layer : layers_) {
-    auto lp = layer->params();
+    auto lp = layer.params();
     out.insert(out.end(), lp.begin(), lp.end());
   }
   return out;
@@ -92,8 +86,8 @@ std::size_t Sequential::param_count() {
   return n;
 }
 
-std::vector<EpochStats> Sequential::fit(const Dataset& train, const Loss& loss,
-                                        Optimizer& optimizer, const FitConfig& cfg) {
+std::vector<EpochStats> Sequential::fit(const Dataset& train, const FocalLoss& loss,
+                                        Adam& optimizer, const FitConfig& cfg) {
   const std::size_t n = train.size();
   if (n == 0) throw std::invalid_argument("Sequential::fit: empty dataset");
   auto param_list = params();
@@ -197,18 +191,18 @@ Sequential make_lstm_model(std::size_t time_steps, std::size_t features, util::R
   const std::size_t widths[] = {32, 96, 32, 16, 112, 48, 64};
   std::size_t prev = 16;
   for (std::size_t w : widths) {
-    model.add(std::make_unique<Dense>(prev, w, Activation::Elu, rng));
+    model.add(Dense(prev, w, Activation::Elu, rng));
     prev = w;
   }
-  model.add(std::make_unique<Dense>(prev, atl03::kNumClasses, Activation::Linear, rng));
+  model.add(Dense(prev, atl03::kNumClasses, Activation::Linear, rng));
   return model;
 }
 
 Sequential make_mlp_model(std::size_t time_steps, std::size_t features, util::Rng& rng) {
   Sequential model;
   model.set_front(std::make_unique<Flatten>());
-  model.add(std::make_unique<Dense>(time_steps * features, 32, Activation::Relu, rng));
-  model.add(std::make_unique<Dense>(32, atl03::kNumClasses, Activation::Linear, rng));
+  model.add(Dense(time_steps * features, 32, Activation::Relu, rng));
+  model.add(Dense(32, atl03::kNumClasses, Activation::Linear, rng));
   return model;
 }
 

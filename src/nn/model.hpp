@@ -1,5 +1,5 @@
 // Sequential model: a sequence front end (Flatten or LSTM) followed by a
-// 2-D layer stack, with Keras-like fit/evaluate/predict, plus factory
+// Dense stack, with Keras-like fit/evaluate/predict, plus factory
 // functions for the paper's two exact architectures.
 #pragma once
 
@@ -51,7 +51,7 @@ class Sequential {
   Sequential() = default;
 
   void set_front(std::unique_ptr<FrontEnd> front) { front_ = std::move(front); }
-  void add(std::unique_ptr<Layer> layer) { layers_.push_back(std::move(layer)); }
+  void add(Dense layer) { layers_.push_back(std::move(layer)); }
 
   /// Per-layer parameter group callback used by the gradient-ready hooks.
   using ParamGroupFn = std::function<void(const std::vector<Param>&)>;
@@ -76,7 +76,7 @@ class Sequential {
   std::size_t param_count();
 
   /// Mini-batch training loop.
-  std::vector<EpochStats> fit(const Dataset& train, const Loss& loss, Optimizer& optimizer,
+  std::vector<EpochStats> fit(const Dataset& train, const FocalLoss& loss, Adam& optimizer,
                               const FitConfig& config);
 
   /// Argmax predictions.
@@ -88,12 +88,9 @@ class Sequential {
   /// Metrics on a labeled dataset.
   Metrics evaluate(const Dataset& data, std::size_t batch_size = 256);
 
-  FrontEnd* front() { return front_.get(); }
-  const std::vector<std::unique_ptr<Layer>>& layers() const { return layers_; }
-
  private:
   std::unique_ptr<FrontEnd> front_;
-  std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<Dense> layers_;
   Tensor3 predict_scratch_;  ///< batch staging buffer reused by predict_into
 };
 

@@ -5,23 +5,12 @@
 
 namespace is2::nn {
 
-void Optimizer::zero_grad(const std::vector<Param>& params) {
-  for (const auto& p : params) p.grad->fill(0.0f);
-}
-
-void Sgd::step(const std::vector<Param>& params) {
-  for (const auto& p : params) {
-    float* w = p.value->data();
-    float* g = p.grad->data();
-    for (std::size_t i = 0; i < p.value->size(); ++i) {
-      w[i] -= static_cast<float>(lr_) * g[i];
-      g[i] = 0.0f;
-    }
-  }
-}
-
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
+
+void Adam::zero_grad(const std::vector<Param>& params) {
+  for (const auto& p : params) p.grad->fill(0.0f);
+}
 
 void Adam::step(const std::vector<Param>& params) {
   if (m_.empty()) {

@@ -1,4 +1,4 @@
-// Optimizers over Param views. Step order is deterministic (parameter list
+// Adam over Param views. Step order is deterministic (parameter list
 // order), which the distributed trainer relies on for replica consistency.
 #pragma once
 
@@ -9,28 +9,13 @@
 
 namespace is2::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Apply accumulated gradients and zero them.
-  virtual void step(const std::vector<Param>& params) = 0;
-  virtual void zero_grad(const std::vector<Param>& params);
-};
-
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double lr) : lr_(lr) {}
-  void step(const std::vector<Param>& params) override;
-
- private:
-  double lr_;
-};
-
 /// Adam (Kingma & Ba 2015); the paper uses lr = 0.003.
-class Adam : public Optimizer {
+class Adam {
  public:
   explicit Adam(double lr = 0.003, double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-7);
-  void step(const std::vector<Param>& params) override;
+  /// Apply accumulated gradients and zero them.
+  void step(const std::vector<Param>& params);
+  void zero_grad(const std::vector<Param>& params);
 
  private:
   double lr_, beta1_, beta2_, eps_;

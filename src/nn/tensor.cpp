@@ -531,12 +531,4 @@ void sigmoid_row(const float* x, float* y, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) y[j] = 1.0f / (1.0f + fast_expf(-x[j]));
 }
 
-void add_inplace(Mat& y, const Mat& x) {
-  if (y.rows() != x.rows() || y.cols() != x.cols())
-    throw std::invalid_argument("add_inplace: shape mismatch");
-  float* IS2_RESTRICT yd = y.data();
-  const float* IS2_RESTRICT xd = x.data();
-  for (std::size_t i = 0; i < y.size(); ++i) yd[i] += xd[i];
-}
-
 }  // namespace is2::nn

@@ -158,7 +158,4 @@ void activate_row_copy(Activation act, const float* x, float* y, std::size_t n);
 /// y[j] = 1 / (1 + exp(-x[j])) (x == y aliasing allowed).
 void sigmoid_row(const float* x, float* y, std::size_t n);
 
-/// y += x (same shape).
-void add_inplace(Mat& y, const Mat& x);
-
 }  // namespace is2::nn

@@ -29,16 +29,20 @@ std::vector<Segment> resample(const atl03::PreprocessedBeam& beam, const Segment
   const std::size_t n = beam.s.size();
   std::vector<double> heights;
   while (i < n) {
-    const auto w = static_cast<std::size_t>((beam.s[i] - s0) / cfg.window_m);
-    const double w_begin = s0 + static_cast<double>(w) * cfg.window_m;
+    // The window number stays a double: photons as far out as ±1e300 m
+    // survive preprocessing, beyond any integer type.
+    const double w = std::trunc((beam.s[i] - s0) / cfg.window_m);
+    const double w_begin = s0 + w * cfg.window_m;
     const double w_end = w_begin + cfg.window_m;
 
     // Gather the photon run of this window (input is along-track sorted).
+    // Photon i always joins it, so every pass consumes at least one photon,
+    // also where w_begin + window_m rounds back to w_begin (|s| > ~1e16 m).
     heights.clear();
     double t_sum = 0.0, x_sum = 0.0, y_sum = 0.0, bg_sum = 0.0;
     std::uint32_t counts[3] = {0, 0, 0};
     std::size_t j = i;
-    for (; j < n && beam.s[j] < w_end; ++j) {
+    for (; j < n && (j == i || beam.s[j] < w_end); ++j) {
       heights.push_back(beam.h[j]);
       t_sum += beam.t[j];
       x_sum += beam.x[j];

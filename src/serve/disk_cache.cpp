@@ -556,16 +556,4 @@ DiskCacheStats DiskCache::stats() const {
   return out;
 }
 
-void DiskCache::clear() {
-  util::MutexLock lock(mutex_);
-  for (const auto& e : lru_) {
-    std::error_code ec;
-    fs::remove(e.path, ec);
-  }
-  lru_.clear();
-  index_.clear();
-  beam_entries_.clear();
-  bytes_ = 0;
-}
-
 }  // namespace is2::serve

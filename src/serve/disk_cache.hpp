@@ -160,9 +160,6 @@ class DiskCache {
   /// `is2_cache_bytes` / `is2_cache_entries` gauges.
   DiskCacheStats stats() const;
 
-  /// Delete every cache file and reset the manifest (not the counters).
-  void clear();
-
   const std::string& dir() const { return config_.dir; }
   std::size_t byte_budget() const { return config_.byte_budget; }
 

@@ -173,14 +173,4 @@ CacheStats ProductCache::stats() const {
   return out;
 }
 
-void ProductCache::clear() {
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-    shard->window = shard->lru.end();
-  }
-}
-
 }  // namespace is2::serve

@@ -16,8 +16,8 @@
 // the candidate, so with no frequency information eviction is plain LRU.
 //
 // Ownership / threading contract: every method is thread-safe; a call locks
-// exactly one shard mutex (stats()/clear() lock each in turn) and performs
-// no IO, so nothing here blocks beyond a short critical section. Hit, miss,
+// exactly one shard mutex (stats() locks each in turn) and performs no IO,
+// so nothing here blocks beyond a short critical section. Hit, miss,
 // insertion, eviction and rejection counters are registry Counters (relaxed
 // atomics) incremented where the event happens, so they are exact at any
 // time. Products are immutable once inserted and handed out as
@@ -171,7 +171,6 @@ class ProductCache {
   /// Counters plus resident bytes/entries; also refreshes the
   /// `is2_cache_bytes` / `is2_cache_entries` gauges.
   CacheStats stats() const;
-  void clear();
 
   std::size_t byte_budget() const { return byte_budget_; }
   std::size_t num_shards() const { return shards_.size(); }

@@ -119,20 +119,23 @@ TEST(Comm, RankCountBelowOneIsRejectedBeforeAnythingIsSized) {
 }
 
 TEST(Hvd, DistributedOptimizerAveragesGradients) {
-  // Two ranks with different gradients: after the distributed step both
-  // replicas must have applied the *average* gradient.
+  // Two ranks with gradients of opposite sign: after the distributed step
+  // both replicas must have applied one Adam step on the *average*
+  // gradient. Adam's first step is about lr * sign(g), so with same-sign
+  // gradients a skipped average would go unnoticed.
   auto ctx = dist::init(2);
   std::vector<nn::Mat> w(2, nn::Mat(1, 4, 1.0f));
   std::vector<nn::Mat> g(2, nn::Mat(1, 4));
   on_ranks(2, [&](int r) {
-    for (int i = 0; i < 4; ++i) g[r].at(0, static_cast<std::size_t>(i)) = r == 0 ? 1.0f : 3.0f;
-    dist::DistributedOptimizer opt(std::make_unique<nn::Sgd>(0.5), ctx, r);
+    for (int i = 0; i < 4; ++i) g[r].at(0, static_cast<std::size_t>(i)) = r == 0 ? 1.0f : -3.0f;
+    dist::DistributedOptimizer opt(std::make_unique<nn::Adam>(0.1), ctx, r);
     std::vector<nn::Param> params{{"w", &w[r], &g[r]}};
     opt.step(params);
   });
-  // Average gradient = 2.0, lr 0.5 -> w = 1 - 1 = 0 on both ranks.
+  nn::Mat w_mean(1, 4, 1.0f), g_mean(1, 4, -1.0f);
+  nn::Adam(0.1).step({{"w", &w_mean, &g_mean}});
   for (int r = 0; r < 2; ++r)
-    for (int i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(w[r].at(0, static_cast<std::size_t>(i)), 0.0f);
+    for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(w[r].at(0, i), w_mean.at(0, i)) << "rank " << r;
 }
 
 nn::Dataset toy_task(std::size_t n, std::uint64_t seed) {

@@ -1,8 +1,10 @@
 // NN numerical core tests: GEMM correctness, activation math, finite-
-// difference gradient checks for Dense / LSTM / losses, optimizers,
-// metrics and weight serialization.
+// difference gradient checks for Dense / LSTM / focal loss, Adam, metrics
+// and weight serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <filesystem>
 
@@ -104,13 +106,25 @@ TEST(Softmax, RowsSumToOne) {
   }
 }
 
+/// Four random rows and one saturated row: its label's softmax probability
+/// rounds to exactly 1.
+Mat logits_with_saturated_row(Rng& rng, double scale) {
+  const Mat random = random_mat(4, 3, rng, scale);
+  Mat logits(5, 3, 0.0f);
+  std::copy(random.data(), random.data() + random.size(), logits.data());
+  logits.at(4, 0) = 40.0f;
+  return logits;
+}
+
 /// Finite-difference gradient check of a loss wrt logits.
-void check_loss_gradient(const Loss& loss) {
+void check_loss_gradient(const FocalLoss& loss) {
   Rng rng(5);
-  Mat logits = random_mat(4, 3, rng, 2.0);
-  const std::vector<std::uint8_t> labels{0, 2, 1, 2};
+  Mat logits = logits_with_saturated_row(rng, 2.0);
+  const std::vector<std::uint8_t> labels{0, 2, 1, 2, 0};
   Mat grad;
   loss.compute(logits, labels, grad);
+  for (std::size_t i = 0; i < grad.size(); ++i)
+    ASSERT_TRUE(std::isfinite(grad.data()[i])) << "logit " << i;
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < logits.size(); ++i) {
     const float orig = logits.data()[i];
@@ -125,19 +139,42 @@ void check_loss_gradient(const Loss& loss) {
   }
 }
 
-TEST(Loss, CrossEntropyGradientCheck) { check_loss_gradient(CrossEntropyLoss{}); }
+TEST(Loss, CrossEntropyGradientCheck) { check_loss_gradient(FocalLoss{0.0}); }
 
-TEST(Loss, FocalGradientCheck) { check_loss_gradient(FocalLoss{2.0, {1.0, 2.0, 0.5}}); }
+TEST(Loss, FocalGradientCheck) {
+  // gamma < 1 once gave NaN gradients on the saturated row: the focal term
+  // evaluated pow(0, gamma - 1) = inf times log(1) = 0.
+  for (const double gamma : {0.0, 0.5, 1.0, 2.0}) {
+    SCOPED_TRACE(gamma);
+    check_loss_gradient(FocalLoss{gamma, {1.0, 2.0, 0.5}});
+  }
+}
 
 TEST(Loss, FocalReducesToWeightedCeAtGammaZero) {
+  // Closed-form weighted cross-entropy on the reference softmax:
+  // L = mean(-alpha_y log p_y), dL/dz_c = alpha_y (p_c - [c == y]) / n.
   Rng rng(6);
-  const Mat logits = random_mat(8, 3, rng, 1.0);
-  const std::vector<std::uint8_t> labels{0, 1, 2, 0, 1, 2, 0, 1};
-  Mat g1, g2;
-  const double fl = FocalLoss(0.0, {1.0, 1.0, 1.0}).compute(logits, labels, g1);
-  const double ce = CrossEntropyLoss{}.compute(logits, labels, g2);
-  EXPECT_NEAR(fl, ce, 1e-5);
-  for (std::size_t i = 0; i < g1.size(); ++i) EXPECT_NEAR(g1.data()[i], g2.data()[i], 1e-5);
+  const Mat logits = logits_with_saturated_row(rng, 1.0);
+  const std::vector<std::uint8_t> labels{0, 1, 2, 1, 0};
+  Mat probs;
+  softmax_rows_reference(logits, probs);
+  const double n = static_cast<double>(labels.size());
+  for (const std::array<double, 3> alpha :
+       {std::array<double, 3>{1.0, 1.0, 1.0}, std::array<double, 3>{1.0, 2.0, 0.5}}) {
+    SCOPED_TRACE(alpha[1]);
+    Mat grad;
+    const double loss = FocalLoss(0.0, alpha).compute(logits, labels, grad);
+    double ce = 0.0;
+    for (std::size_t r = 0; r < labels.size(); ++r) {
+      const std::uint8_t y = labels[r];
+      ce -= alpha[y] * std::log(static_cast<double>(probs.at(r, y))) / n;
+      for (std::size_t c = 0; c < 3; ++c) {
+        const double want = alpha[y] * (probs.at(r, c) - (c == y ? 1.0 : 0.0)) / n;
+        EXPECT_NEAR(grad.at(r, c), want, 1e-6) << "row " << r << " class " << c;
+      }
+    }
+    EXPECT_NEAR(loss, ce, 1e-6);
+  }
 }
 
 TEST(Loss, BalancedAlphaInverseFrequency) {
@@ -154,7 +191,7 @@ TEST(Loss, BalancedAlphaInverseFrequency) {
 /// Full-model gradient check (front end + dense stack) on a tiny model.
 void check_model_gradients(Sequential& model, const Tensor3& x,
                            const std::vector<std::uint8_t>& labels, double tol) {
-  CrossEntropyLoss loss;
+  const FocalLoss loss(0.0);
   auto params = model.params();
   for (auto& p : params) p.grad->fill(0.0f);
   Mat grad;
@@ -188,8 +225,8 @@ TEST(Gradients, DenseStackMatchesFiniteDifferences) {
   Rng rng(8);
   Sequential model;
   model.set_front(std::make_unique<Flatten>());
-  model.add(std::make_unique<Dense>(10, 8, Activation::Elu, rng));
-  model.add(std::make_unique<Dense>(8, 3, Activation::Linear, rng));
+  model.add(Dense(10, 8, Activation::Elu, rng));
+  model.add(Dense(8, 3, Activation::Linear, rng));
 
   Tensor3 x(4, 5, 2);
   for (auto& v : x.v) v = static_cast<float>(rng.normal(0.0, 1.0));
@@ -200,7 +237,7 @@ TEST(Gradients, LstmMatchesFiniteDifferences) {
   Rng rng(9);
   Sequential model;
   model.set_front(std::make_unique<Lstm>(3, 6, Activation::Tanh, /*dropout=*/0.0, rng));
-  model.add(std::make_unique<Dense>(6, 3, Activation::Linear, rng));
+  model.add(Dense(6, 3, Activation::Linear, rng));
 
   Tensor3 x(3, 4, 3);
   for (auto& v : x.v) v = static_cast<float>(rng.normal(0.0, 1.0));
@@ -211,29 +248,10 @@ TEST(Gradients, LstmWithEluCellMatchesFiniteDifferences) {
   Rng rng(10);
   Sequential model;
   model.set_front(std::make_unique<Lstm>(2, 5, Activation::Elu, 0.0, rng));
-  model.add(std::make_unique<Dense>(5, 3, Activation::Linear, rng));
+  model.add(Dense(5, 3, Activation::Linear, rng));
   Tensor3 x(2, 5, 2);
   for (auto& v : x.v) v = static_cast<float>(rng.normal(0.0, 0.8));
   check_model_gradients(model, x, {1, 2}, 2e-2);
-}
-
-TEST(Dropout, InferenceIsIdentityTrainingScales) {
-  Rng rng(11);
-  Dropout layer(0.5, Rng(3));
-  Mat x(64, 32, 1.0f);
-  const Mat& y_inf = layer.forward(x, /*training=*/false);
-  for (std::size_t i = 0; i < y_inf.size(); ++i) EXPECT_FLOAT_EQ(y_inf.data()[i], 1.0f);
-
-  const Mat& y_train = layer.forward(x, /*training=*/true);
-  double mean = 0.0;
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y_train.size(); ++i) {
-    mean += y_train.data()[i];
-    if (y_train.data()[i] == 0.0f) ++zeros;
-  }
-  mean /= static_cast<double>(y_train.size());
-  EXPECT_NEAR(mean, 1.0, 0.1);  // inverted dropout keeps expectation
-  EXPECT_GT(zeros, y_train.size() / 3);
 }
 
 TEST(Optimizer, AdamConvergesOnQuadratic) {
@@ -246,15 +264,10 @@ TEST(Optimizer, AdamConvergesOnQuadratic) {
     for (int i = 0; i < 4; ++i) g.at(0, i) = 2.0f * (w.at(0, i) - target[i]);
     adam.step(params);
   }
-  for (int i = 0; i < 4; ++i) EXPECT_NEAR(w.at(0, i), target[i], 1e-2);
-}
-
-TEST(Optimizer, SgdStepAndZeroing) {
-  Mat w(1, 2, 1.0f), g(1, 2, 0.5f);
-  Sgd sgd(0.1);
-  sgd.step({{"w", &w, &g}});
-  EXPECT_NEAR(w.at(0, 0), 0.95f, 1e-6);
-  EXPECT_FLOAT_EQ(g.at(0, 0), 0.0f);  // gradients consumed
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_NEAR(w.at(0, i), target[i], 1e-2);
+    EXPECT_EQ(g.at(0, i), 0.0f);  // gradients consumed
+  }
 }
 
 TEST(Metrics, ConfusionMathManual) {

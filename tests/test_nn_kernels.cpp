@@ -187,8 +187,8 @@ TEST(Predict, InferenceMatchesTrainingForwardWithoutDropout) {
   Rng rng(9);
   Sequential model;
   model.set_front(std::make_unique<Lstm>(6, 16, Activation::Elu, /*dropout=*/0.0, rng));
-  model.add(std::make_unique<Dense>(16, 32, Activation::Elu, rng));
-  model.add(std::make_unique<Dense>(32, 3, Activation::Linear, rng));
+  model.add(Dense(16, 32, Activation::Elu, rng));
+  model.add(Dense(32, 3, Activation::Linear, rng));
   Tensor3 x(33, 5, 6);
   Rng xr(10);
   for (auto& v : x.v) v = static_cast<float>(xr.normal(0.0, 1.0));
@@ -347,7 +347,7 @@ TEST(Predict, WeightTransposeCacheInvalidatesAcrossTraining) {
   FitConfig fit;
   fit.epochs = 2;
   fit.batch_size = 16;
-  CrossEntropyLoss loss;
+  FocalLoss loss(0.0);
   Adam opt_a(0.01), opt_b(0.01);
   model.fit(data, loss, opt_a, fit);
   control.fit(data, loss, opt_b, fit);

@@ -56,7 +56,7 @@ TEST(Training, MlpLearnsSameTask) {
   Rng rng(6);
   Sequential model = make_mlp_model(5, 6, rng);
   Adam adam(0.003);
-  CrossEntropyLoss loss;
+  FocalLoss loss(0.0);
   FitConfig cfg;
   cfg.epochs = 10;
   cfg.batch_size = 32;
@@ -69,7 +69,7 @@ TEST(Training, LossDecreasesMonotonicallyOnAverage) {
   Rng rng(8);
   Sequential model = make_mlp_model(5, 6, rng);
   Adam adam(0.003);
-  CrossEntropyLoss loss;
+  FocalLoss loss(0.0);
   FitConfig cfg;
   cfg.epochs = 6;
   const auto history = model.fit(train, loss, adam, cfg);
@@ -84,7 +84,7 @@ TEST(Training, GradHookCalledPerBatch) {
   Rng rng(10);
   Sequential model = make_mlp_model(5, 6, rng);
   Adam adam(0.003);
-  CrossEntropyLoss loss;
+  FocalLoss loss(0.0);
   FitConfig cfg;
   cfg.epochs = 2;
   cfg.batch_size = 32;

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <latch>
 #include <limits>
 #include <stdexcept>
@@ -102,6 +103,37 @@ TEST(Resample, WindowAndShotSpacingMustBeFiniteAndPositive) {
     EXPECT_THROW(resample::resample(synthetic_beam(), cases[c]), std::invalid_argument);
   }
   EXPECT_NO_THROW(SegmenterConfig{}.validate());
+}
+
+TEST(Resample, DistantPhotonsStillAdvanceTheWindowLoop) {
+  // Beyond about 1e16 m, w_begin + window_m rounds back to w_begin, so no
+  // photon fell before w_end and resample never returned; at ±1e300 m, which
+  // preprocess_beam keeps, the window number also overflowed size_t.
+  auto beam_at = [](std::initializer_list<double> positions) {
+    PreprocessedBeam b;
+    for (const double s : positions) {
+      b.s.push_back(s);
+      b.h.push_back(1.0);
+      b.t.push_back(0.0);
+      b.x.push_back(0.0);
+      b.y.push_back(0.0);
+      b.bckgrd_rate.push_back(1e5);
+    }
+    return b;
+  };
+  const auto far = resample::resample(beam_at({0.0, 1.0, 1e17}));
+  ASSERT_EQ(far.size(), 2u);
+  EXPECT_EQ(far[0].n_photons, 2u);
+  EXPECT_DOUBLE_EQ(far[0].s, 1.0);
+  EXPECT_EQ(far[1].n_photons, 1u);
+  EXPECT_DOUBLE_EQ(far[1].s, 1e17);
+
+  const auto extreme = resample::resample(beam_at({-1e300, 0.0, 1.0, 1e300}));
+  ASSERT_EQ(extreme.size(), 3u);
+  EXPECT_EQ(extreme[0].n_photons, 1u);
+  EXPECT_EQ(extreme[1].n_photons, 2u);
+  EXPECT_DOUBLE_EQ(extreme[1].s, 1.0);
+  EXPECT_EQ(extreme[2].n_photons, 1u);
 }
 
 TEST(Resample, TruthMajorityVote) {
